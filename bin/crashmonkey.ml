@@ -12,13 +12,10 @@ module Ace = Repro_crashcheck.Ace
 
 let run seq verbose =
   let workloads =
-    match seq with
-    | 0 -> Ace.all
-    | 1 -> Ace.seq1
-    | 2 -> Ace.seq2
-    | 3 -> Ace.seq3
-    | n ->
-        Printf.eprintf "--seq must be 1, 2, 3, or 0 for all (got %d)\n" n;
+    match Ace.of_seq seq with
+    | Ok workloads -> workloads
+    | Error msg ->
+        prerr_endline msg;
         exit 2
   in
   Printf.printf "Running %d ACE workloads against WineFS (strict mode)...\n%!"

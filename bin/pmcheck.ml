@@ -38,7 +38,7 @@ open Cmdliner
 module Ace = Repro_crashcheck.Ace
 module Faultcheck = Repro_crashcheck.Faultcheck
 module Torturecheck = Repro_crashcheck.Torturecheck
-module Fsck_scenarios = Repro_fsck.Fsck_scenarios
+module Fsck_scenarios = Repro_crashcheck.Fsck_scenarios
 module Sanitize = Repro_crashcheck.Sanitize
 module Sanitizer = Sanitize.Sanitizer
 module Race = Repro_race.Race
@@ -67,18 +67,16 @@ let parse_rules s =
              Printf.eprintf "unknown rule %S (expected R1..R5)\n" r;
              exit 2)
 
+let workloads_of_seq seq =
+  match Ace.of_seq seq with
+  | Ok workloads -> workloads
+  | Error msg ->
+      prerr_endline msg;
+      exit 2
+
 let run_lint seq strict no_micro relaxed rules verbose =
   let rules = match rules with "" -> Sanitizer.all_rules | s -> parse_rules s in
-  let workloads =
-    match seq with
-    | 0 -> Ace.all
-    | 1 -> Ace.seq1
-    | 2 -> Ace.seq2
-    | 3 -> Ace.seq3
-    | n ->
-        Printf.eprintf "--seq must be 1, 2, 3, or 0 for all (got %d)\n" n;
-        exit 2
-  in
+  let workloads = workloads_of_seq seq in
   let mode = if relaxed then Repro_vfs.Types.Relaxed else Repro_vfs.Types.Strict in
   Printf.printf "pmcheck: %d ACE workloads%s, %s mode%s\n%!" (List.length workloads)
     (if no_micro then "" else " + micro suite")
@@ -357,16 +355,7 @@ let run_flowcheck roots no_probe format verbose =
    or mishandled, 2 on usage errors — so the runtest alias treats a lost
    detection exactly like a failing test. *)
 let run_faultcheck seed seq torn_fences verbose =
-  let workloads =
-    match seq with
-    | 0 -> Ace.all
-    | 1 -> Ace.seq1
-    | 2 -> Ace.seq2
-    | 3 -> Ace.seq3
-    | n ->
-        Printf.eprintf "--seq must be 1, 2, 3, or 0 for all (got %d)\n" n;
-        exit 2
-  in
+  let workloads = workloads_of_seq seq in
   if torn_fences < 0 then begin
     Printf.eprintf "--torn-fences must be non-negative (got %d)\n" torn_fences;
     exit 2

@@ -120,3 +120,10 @@ let seq3 =
   List.map (fun (n, ops) -> { w_name = "seq3-" ^ n; setup = base_setup; test = ops }) triples
 
 let all = seq1 @ seq2 @ seq3
+
+let of_seq = function
+  | 0 -> Ok all
+  | 1 -> Ok seq1
+  | 2 -> Ok seq2
+  | 3 -> Ok seq3
+  | n -> Error (Printf.sprintf "--seq must be 1, 2, 3, or 0 for all (got %d)" n)

@@ -33,3 +33,7 @@ val all : workload list
 
 val apply : Repro_vfs.Fs_intf.handle -> Repro_util.Cpu.t -> op -> unit
 (** Execute one operation (open/close handled internally). *)
+
+val of_seq : int -> (workload list, string) result
+(** The corpus a [--seq] value names: 1, 2 or 3 for that sequence
+    length, 0 for {!all}.  [Error] carries the usage message. *)

@@ -19,8 +19,6 @@ type result = {
 val run :
   ?mode:Repro_vfs.Types.mode ->
   ?workloads:Ace.workload list ->
-  ?max_random_subsets:int ->
-  ?device_size:int ->
   unit ->
   result
 (** Run the campaign against WineFS.  Strict mode checks full data +

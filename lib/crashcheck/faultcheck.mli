@@ -32,10 +32,8 @@ val run :
   ?seed:int ->
   ?workloads:Ace.workload list ->
   ?torn_fences:int ->
-  ?device_size:int ->
   unit ->
   report
 (** Run the campaign against WineFS.  Defaults: seed 42, {!Ace.seq1},
-    torn-word crashes at the first 4 fences of each workload, 48 MiB
-    devices.  [faults_planted = repaired + refused] iff [findings] is
+    torn-word crashes at the first 4 fences of each workload.  [faults_planted = repaired + refused] iff [findings] is
     empty. *)

@@ -28,8 +28,7 @@ type report = {
   failures : failure list;
 }
 
-val run :
-  ?seed:int -> ?iterations:int -> ?fault_rate:float -> ?device_size:int -> unit -> report
+val run : ?seed:int -> ?iterations:int -> ?fault_rate:float -> unit -> report
 (** Run the campaign.  Defaults: seed 42, 60 iterations alternating two
-    workloads, a media fault on half the crash images, 48 MiB devices.
+    workloads, a media fault on half the crash images.
     A healthy repairer yields [failures = []]. *)

@@ -11,14 +11,9 @@ module Layout = Winefs.Layout
 module Codec = Winefs.Codec
 module Faultcheck = Repro_crashcheck.Faultcheck
 module Ace = Repro_crashcheck.Ace
+module Campaign = Repro_crashcheck.Campaign
 
 let cpu () = Cpu.make ~id:0 ()
-
-let cfg () = Types.config ~cpus:2 ~inodes_per_cpu:256 ()
-
-let fresh () =
-  let dev = Device.create ~cost:Device.Cost.free ~size:(48 * Units.mib) () in
-  (dev, Fs.format dev (cfg ()))
 
 (* CRC-32C known-answer vector (RFC 3720 appendix): "123456789". *)
 let test_crc32c_vector () =
@@ -83,14 +78,14 @@ let test_crc32c_zeroed_field () =
   Alcotest.(check int) "all 512 single-bit flips detected" 0 !missed
 
 let test_sb_repair_from_replica () =
-  let dev, fs = fresh () in
+  let dev, fs = Campaign.fresh () in
   let c = cpu () in
   Fs.close fs c (Fs.create fs c "/keep");
   Fs.unmount fs c;
   (* Corrupt the primary superblock; mount must repair it from the
      replica and stay writable. *)
   Device.inject dev (Device.Bit_flip { off = 17; bit = 3 });
-  let fs2 = Fs.mount dev (cfg ()) in
+  let fs2 = Fs.mount dev Campaign.cfg in
   Alcotest.(check bool) "mount not degraded" false (Fs.read_only fs2);
   Alcotest.(check bool) "file survived" true (Fs.exists fs2 c "/keep");
   Alcotest.(check bool) "detection counted" true
@@ -99,32 +94,32 @@ let test_sb_repair_from_replica () =
     (Counters.get (Fs.counters fs2) "fault.repaired" >= 1);
   Fs.unmount fs2 c;
   (* The repair rewrote the primary: a second mount is clean. *)
-  let fs3 = Fs.mount dev (cfg ()) in
+  let fs3 = Fs.mount dev Campaign.cfg in
   Alcotest.(check int) "primary healthy after repair" 0
     (Counters.get (Fs.counters fs3) "fault.detected")
 
 let test_sb_poison_repair () =
-  let dev, fs = fresh () in
+  let dev, fs = Campaign.fresh () in
   let c = cpu () in
   Fs.unmount fs c;
   Device.inject dev (Device.Poison_line { off = 0 });
-  let fs2 = Fs.mount dev (cfg ()) in
+  let fs2 = Fs.mount dev Campaign.cfg in
   Alcotest.(check bool) "repaired from replica" false (Fs.read_only fs2);
   Alcotest.(check (list int)) "full-line rewrite cleared the poison" []
     (Device.poisoned_lines dev)
 
 let test_sb_both_copies_dead () =
-  let dev, fs = fresh () in
+  let dev, fs = Campaign.fresh () in
   let c = cpu () in
   Fs.unmount fs c;
   Device.inject dev (Device.Bit_flip { off = 9; bit = 0 });
   Device.inject dev (Device.Bit_flip { off = Layout.sb_replica_off + 9; bit = 0 });
-  match Fs.mount dev (cfg ()) with
+  match Fs.mount dev Campaign.cfg with
   | _ -> Alcotest.fail "mount must refuse when both superblocks are corrupt"
   | exception Types.Error (Types.EIO, _) -> ()
 
 let test_degraded_mount_semantics () =
-  let dev, fs = fresh () in
+  let dev, fs = Campaign.fresh () in
   let c = cpu () in
   let fd = Fs.create fs c "/victim" in
   ignore (Fs.pwrite fs c fd ~off:0 ~src:"doomed data");
@@ -139,7 +134,7 @@ let test_degraded_mount_semantics () =
   (* Flip a bit in the victim's inode header: there is no redundant copy,
      so scrub must refuse the inode and degrade the mount. *)
   Device.inject dev (Device.Bit_flip { off = Layout.inode_off layout victim_ino + 20; bit = 5 });
-  let fs2 = Fs.mount dev (cfg ()) in
+  let fs2 = Fs.mount dev Campaign.cfg in
   Alcotest.(check bool) "mount degraded to read-only" true (Fs.read_only fs2);
   Alcotest.(check bool) "refused inodes counted" true (Fs.refused_inodes fs2 >= 1);
   Alcotest.(check bool) "refusal in fault counters" true
@@ -168,7 +163,7 @@ let test_degraded_mount_semantics () =
   Fs.close fs2 c fd;
   (* Unmount of a degraded fs must not stamp the image clean. *)
   Fs.unmount fs2 c;
-  let fs3 = Fs.mount dev (cfg ()) in
+  let fs3 = Fs.mount dev Campaign.cfg in
   Alcotest.(check bool) "corruption still refused on remount" true (Fs.read_only fs3)
 
 let test_campaign_small () =
