@@ -1,11 +1,13 @@
-(* @perf-smoke: operation-count budgets for the flat substrate.
+(* @perf-smoke: operation-count budgets for the flat substrate and the
+   paged device.
 
    Wall-clock assertions flake under CI load, so the perf regressions
    this guards are expressed as deterministic operation counts instead:
-   hash-probe work per table operation and pending-entries visited per
-   fence.  A regression that reintroduces O(all-pending) fence sweeps or
-   degenerate probe chains fails these budgets on any machine, loaded or
-   not. *)
+   hash-probe work per table operation, pending-entries visited per
+   fence, and major-heap words per crash image and campaign device.  A
+   regression that reintroduces O(all-pending) fence sweeps, degenerate
+   probe chains or whole-device copies fails these budgets on any
+   machine, loaded or not. *)
 
 open Repro_util
 module Device = Repro_pmem.Device
@@ -80,10 +82,43 @@ let fence_sweep_budget () =
   budget "fence sweep visits (10 empty fences)" ~actual:(Device.fence_sweep_visits dev - v1)
     ~limit:0
 
+(* Major-heap words [f] allocates, promotions included.  Read after a
+   minor collection: the runtime folds a domain's allocation counts into
+   its statistics lazily. *)
+let major_words f =
+  let read () =
+    Gc.minor ();
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let w0 = read () in
+  f ();
+  int_of_float (read () -. w0)
+
+let device_copy_budget () =
+  (* A crash image with a few pending lines and a fresh campaign device
+     share pages with their source: both together must allocate far less
+     than the 48 MiB a whole-device copy costs. *)
+  let size = 48 * Units.mib in
+  let dev = Device.create ~cost:Device.Cost.free ~size () in
+  let cpu = Cpu.make ~id:0 () in
+  Device.set_tracking dev true;
+  List.iter
+    (fun off -> Device.write_string dev cpu ~off "pending")
+    [ 0; 4096; 3 * Units.mib; size - 64 ];
+  ignore (Repro_crashcheck.Campaign.device () (* the blank template, once *));
+  let words =
+    major_words (fun () ->
+        ignore (Device.crash_image dev ~persisted:(fun line -> line mod 2 = 0));
+        ignore (Repro_crashcheck.Campaign.device ()))
+  in
+  budget "major words: crash image + device" ~actual:words ~limit:(size / 8 / 16)
+
 let () =
   table_probe_budget ();
   table_tombstone_budget ();
   fence_sweep_budget ();
+  device_copy_budget ();
   if !failures > 0 then begin
     Printf.printf "%d perf budget(s) exceeded\n" !failures;
     exit 1

@@ -7,7 +7,11 @@ module Layout = Winefs.Layout
 module Codec = Winefs.Codec
 
 let cfg = Types.config ~cpus:2 ~inodes_per_cpu:256 ()
-let device () = Device.create ~cost:Device.Cost.free ~size:(48 * Units.mib) ()
+
+(* Never written: every campaign device is a copy-on-write snapshot of
+   it, so a fresh device costs O(pages), not a 48 MiB zero fill. *)
+let blank = lazy (Device.create ~cost:Device.Cost.free ~size:(48 * Units.mib) ())
+let device () = Device.snapshot (Lazy.force blank)
 
 let fresh () =
   let dev = device () in

@@ -9,7 +9,8 @@ val cfg : Repro_vfs.Types.config
 (** Every campaign image's configuration: 2 CPUs x 256 inodes each. *)
 
 val device : unit -> Device.t
-(** A zero-filled, cost-free 48 MiB device. *)
+(** A zero-filled, cost-free 48 MiB device: a {!Device.snapshot} of one
+    blank device that is never written, so it costs O(pages). *)
 
 val fresh : unit -> Device.t * Winefs.Fs.t
 (** A {!device} formatted with {!cfg}. *)

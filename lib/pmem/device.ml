@@ -112,8 +112,17 @@ type site_cells = {
   mutable sc_fences : Stats.Counter.t option;
 }
 
+(* The backing store: fixed 64 KiB pages behind a page directory.  A
+   page may be shared with the devices {!snapshot} made of this one, so a
+   store first copies any page this device does not own.  A 64B line
+   never straddles a page. *)
+let page_bits = 16
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+
 type t = {
-  data : bytes;
+  pages : bytes array;
+  owned : bool array; (* owned.(p): pages.(p) is private, writable in place *)
   size : int;
   cost : Cost.t;
   numa_nodes : int;
@@ -146,17 +155,17 @@ type t = {
 
 let cl = Units.cacheline
 
-let create ?(cost = Cost.optane) ?(numa_nodes = 1) ~size () =
-  if size <= 0 then invalid_arg "Device.create: non-positive size";
-  if numa_nodes <= 0 then invalid_arg "Device.create: non-positive numa_nodes";
-  let size = Units.round_up size cl in
+(* A tracking-off device with fresh counters and no hooks over the given
+   page directory. *)
+let make ~cost ~numa_nodes ~node_stripe ~size ~pages ~owned ~poisoned =
   let counters = Counters.create () in
   {
-    data = Bytes.make size '\000';
+    pages;
+    owned;
     size;
     cost;
     numa_nodes;
-    node_stripe = Units.round_up (size / numa_nodes) cl;
+    node_stripe;
     counters;
     c_bytes_read = Counters.cell counters "pm.bytes_read";
     c_bytes_written = Counters.cell counters "pm.bytes_written";
@@ -172,11 +181,36 @@ let create ?(cost = Cost.optane) ?(numa_nodes = 1) ~size () =
     hooks = [];
     next_hook_id = 0;
     legacy_hook = None;
-    poisoned = Flat_table.create ~capacity:8 ~dummy:() ();
+    poisoned;
     torn = Flat_table.create ~capacity:8 ~dummy:() ();
     stat_gen = -1;
     stat_cells = [];
   }
+
+(* Eager: every page is private and zero-filled up front, so the page
+   materialisation cost lands where the device is made, not inside the
+   first workload that stores to it. *)
+let create ?(cost = Cost.optane) ?(numa_nodes = 1) ~size () =
+  if size <= 0 then invalid_arg "Device.create: non-positive size";
+  if numa_nodes <= 0 then invalid_arg "Device.create: non-positive numa_nodes";
+  let size = Units.round_up size cl in
+  let n = (size + page_size - 1) / page_size in
+  make ~cost ~numa_nodes
+    ~node_stripe:(Units.round_up (size / numa_nodes) cl)
+    ~size
+    ~pages:(Array.init n (fun p -> Bytes.make (min page_size (size - (p * page_size))) '\000'))
+    ~owned:(Array.make n true)
+    ~poisoned:(Flat_table.create ~capacity:8 ~dummy:() ())
+
+(* Copy-on-write sharing: the snapshot gets the same page directory, and
+   neither device owns any page afterwards, so whichever stores first
+   copies. *)
+let snapshot t =
+  Array.fill t.owned 0 (Array.length t.owned) false;
+  make ~cost:t.cost ~numa_nodes:t.numa_nodes ~node_stripe:t.node_stripe ~size:t.size
+    ~pages:(Array.copy t.pages)
+    ~owned:(Array.make (Array.length t.pages) false)
+    ~poisoned:(Flat_table.copy t.poisoned (* media faults survive a crash *))
 
 let size t = t.size
 let numa_nodes t = t.numa_nodes
@@ -214,6 +248,94 @@ let clear_poison_on_store t off len =
       if off <= line * cl && (line + 1) * cl <= off + len then
         Flat_table.remove t.poisoned line
     done
+  end
+
+(* Page [p] for writing: a page still shared with a snapshot is copied
+   first, so a store never reaches another device. *)
+let wpage t p =
+  if t.owned.(p) then t.pages.(p)
+  else begin
+    let page = Bytes.copy t.pages.(p) in
+    t.pages.(p) <- page;
+    t.owned.(p) <- true;
+    page
+  end
+
+(* [f page page_off x x_pos n] on each in-page piece of [off, off+len),
+   where [x_pos] is [x_off] plus the piece's distance from [off].  Store
+   pieces get their page from {!wpage}.  Callers pass a closed [f] and
+   its operand as [x], so an access allocates no closure. *)
+let chunks ~store t off len f x x_off =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = off + !pos in
+    let po = a land page_mask in
+    let n = min (len - !pos) (page_size - po) in
+    let p = a lsr page_bits in
+    f (if store then wpage t p else t.pages.(p)) po x (x_off + !pos) n;
+    pos := !pos + n
+  done
+
+let blit_out t off dst dst_off len =
+  chunks ~store:false t off len (fun page po dst d n -> Bytes.blit page po dst d n) dst dst_off
+
+let blit_in t off src src_off len =
+  chunks ~store:true t off len (fun page po src s n -> Bytes.blit src s page po n) src src_off
+
+let blit_string_in t off s =
+  chunks ~store:true t off (String.length s)
+    (fun page po s i n -> Bytes.blit_string s i page po n)
+    s 0
+
+let fill t off len c = chunks ~store:true t off len (fun page po c _ n -> Bytes.fill page po n c) c 0
+
+(* Device-to-device copy, overlap-safe: front to back when [dst] is below
+   [src], otherwise back to front, in pieces that stay inside one source
+   and one destination page.  The source page is fetched after the
+   destination's copy-on-write, which may have replaced it. *)
+let move t ~src ~dst ~len =
+  let piece s d n =
+    let dpage = wpage t (d lsr page_bits) in
+    Bytes.blit t.pages.(s lsr page_bits) (s land page_mask) dpage (d land page_mask) n
+  in
+  if dst <= src then begin
+    let pos = ref 0 in
+    while !pos < len do
+      let s = src + !pos and d = dst + !pos in
+      let n = min (len - !pos) (page_size - max (s land page_mask) (d land page_mask)) in
+      piece s d n;
+      pos := !pos + n
+    done
+  end
+  else begin
+    (* [left] bytes, the prefix of the range, are still to copy; each
+       piece ends at the last of them. *)
+    let left = ref len in
+    while !left > 0 do
+      let s = src + !left - 1 and d = dst + !left - 1 in
+      let n = min !left (1 + min (s land page_mask) (d land page_mask)) in
+      piece (s - n + 1) (d - n + 1) n;
+      left := !left - n
+    done
+  end
+
+(* A u64 whose bytes straddle two pages goes through a small buffer. *)
+let get_u64 t off =
+  let po = off land page_mask in
+  if po <= page_size - 8 then Bytes.get_int64_le t.pages.(off lsr page_bits) po
+  else begin
+    let b = Bytes.create 8 in
+    blit_out t off b 0 8;
+    Bytes.get_int64_le b 0
+  end
+
+let set_u64 t off v =
+  let po = off land page_mask in
+  if po <= page_size - 8 then Bytes.set_int64_le (wpage t (off lsr page_bits)) po v
+  else begin
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    blit_in t off b 0 8
   end
 
 let remote_factor t (cpu : Cpu.t) ~off ~write =
@@ -429,7 +551,8 @@ let track_store ?(nt = false) t off len =
           end
           else p.flushed <- false
       | None ->
-          let old_bytes = Bytes.sub t.data (line * cl) cl in
+          let off = line * cl in
+          let old_bytes = Bytes.sub t.pages.(off lsr page_bits) (off land page_mask) cl in
           Flat_table.set t.pending line { old_bytes; flushed = nt };
           if nt then Flat_vec.push t.flushed_lines line
     done
@@ -439,7 +562,7 @@ let read t cpu ~off ~len ~dst ~dst_off =
   check_range t off len;
   check_poison t off len;
   charge_read t cpu ~off ~len;
-  Bytes.blit t.data off dst dst_off len;
+  blit_out t off dst dst_off len;
   emit_load ~cpu t ~off ~len
 
 let write t cpu ~off ~src ~src_off ~len =
@@ -447,7 +570,7 @@ let write t cpu ~off ~src ~src_off ~len =
   track_store t off len;
   clear_poison_on_store t off len;
   charge_write t cpu ~off ~len;
-  Bytes.blit src src_off t.data off len;
+  blit_in t off src src_off len;
   emit_store ~cpu t ~off ~len ~nt:false
 
 let read_string t cpu ~off ~len =
@@ -455,7 +578,9 @@ let read_string t cpu ~off ~len =
   check_poison t off len;
   charge_read t cpu ~off ~len;
   emit_load ~cpu t ~off ~len;
-  Bytes.sub_string t.data off len
+  let b = Bytes.create len in
+  blit_out t off b 0 len;
+  Bytes.unsafe_to_string b
 
 let write_string t cpu ~off s =
   let len = String.length s in
@@ -463,7 +588,7 @@ let write_string t cpu ~off s =
   track_store t off len;
   clear_poison_on_store t off len;
   charge_write t cpu ~off ~len;
-  Bytes.blit_string s 0 t.data off len;
+  blit_string_in t off s;
   emit_store ~cpu t ~off ~len ~nt:false
 
 (* Non-temporal stores: bypass the cache and become durable at the next
@@ -474,7 +599,7 @@ let write_nt t cpu ~off ~src ~src_off ~len =
   track_store ~nt:true t off len;
   clear_poison_on_store t off len;
   charge_write t cpu ~off ~len;
-  Bytes.blit src src_off t.data off len;
+  blit_in t off src src_off len;
   emit_store ~cpu t ~off ~len ~nt:true
 
 let write_string_nt t cpu ~off s =
@@ -483,7 +608,7 @@ let write_string_nt t cpu ~off s =
   track_store ~nt:true t off len;
   clear_poison_on_store t off len;
   charge_write t cpu ~off ~len;
-  Bytes.blit_string s 0 t.data off len;
+  blit_string_in t off s;
   emit_store ~cpu t ~off ~len ~nt:true
 
 let memset_nt t cpu ~off ~len c =
@@ -491,7 +616,7 @@ let memset_nt t cpu ~off ~len c =
   track_store ~nt:true t off len;
   clear_poison_on_store t off len;
   charge_write t cpu ~off ~len;
-  Bytes.fill t.data off len c;
+  fill t off len c;
   emit_store ~cpu t ~off ~len ~nt:true
 
 let copy_within_nt t cpu ~src ~dst ~len =
@@ -502,7 +627,7 @@ let copy_within_nt t cpu ~src ~dst ~len =
   track_store ~nt:true t dst len;
   clear_poison_on_store t dst len;
   charge_write t cpu ~off:dst ~len;
-  Bytes.blit t.data src t.data dst len;
+  move t ~src ~dst ~len;
   emit_load ~cpu t ~off:src ~len;
   emit_store ~cpu t ~off:dst ~len ~nt:true
 
@@ -511,7 +636,7 @@ let memset t cpu ~off ~len c =
   track_store t off len;
   clear_poison_on_store t off len;
   charge_write t cpu ~off ~len;
-  Bytes.fill t.data off len c;
+  fill t off len c;
   emit_store ~cpu t ~off ~len ~nt:false
 
 let copy_within t cpu ~src ~dst ~len =
@@ -522,7 +647,7 @@ let copy_within t cpu ~src ~dst ~len =
   track_store t dst len;
   clear_poison_on_store t dst len;
   charge_write t cpu ~off:dst ~len;
-  Bytes.blit t.data src t.data dst len;
+  move t ~src ~dst ~len;
   emit_load ~cpu t ~off:src ~len;
   emit_store ~cpu t ~off:dst ~len ~nt:false
 
@@ -531,19 +656,19 @@ let read_u64 t cpu ~off =
   check_poison t off 8;
   charge_read t cpu ~off ~len:8;
   emit_load ~cpu t ~off ~len:8;
-  Bytes.get_int64_le t.data off
+  get_u64 t off
 
 let write_u64 t cpu ~off v =
   check_range t off 8;
   track_store t off 8;
   charge_write t cpu ~off ~len:8;
-  Bytes.set_int64_le t.data off v;
+  set_u64 t off v;
   emit_store ~cpu t ~off ~len:8 ~nt:false
 
 let peek t ~off ~len ~dst ~dst_off =
   check_range t off len;
   check_poison t off len;
-  Bytes.blit t.data off dst dst_off len
+  blit_out t off dst dst_off len
 
 let touch_read t cpu ~off ~len =
   check_range t off len;
@@ -627,7 +752,8 @@ let inject t fault =
   | Bit_flip { off; bit } ->
       check_range t off 1;
       if bit < 0 || bit > 7 then invalid_arg "Device.inject: bit outside 0..7";
-      Bytes.set t.data off (Char.chr (Char.code (Bytes.get t.data off) lxor (1 lsl bit)))
+      let page = wpage t (off lsr page_bits) and po = off land page_mask in
+      Bytes.set page po (Char.chr (Char.code (Bytes.get page po) lxor (1 lsl bit)))
   | Torn_word { off } ->
       check_range t off 8;
       Flat_table.set t.torn (off land lnot 7) ()
@@ -644,42 +770,16 @@ let clear_faults t =
   Flat_table.clear t.poisoned;
   Flat_table.clear t.torn
 
+(* O(pages) for the shared directory plus O(reverted lines): only the
+   pages holding a reverted line or torn word are copied. *)
 let crash_image t ~persisted =
   if not t.tracking then invalid_arg "Device.crash_image: tracking disabled";
-  let counters = Counters.create () in
-  let img =
-    {
-      data = Bytes.copy t.data;
-      size = t.size;
-      cost = t.cost;
-      numa_nodes = t.numa_nodes;
-      node_stripe = t.node_stripe;
-      counters;
-      c_bytes_read = Counters.cell counters "pm.bytes_read";
-      c_bytes_written = Counters.cell counters "pm.bytes_written";
-      c_flushes = Counters.cell counters "pm.flushes";
-      c_fences = Counters.cell counters "pm.fences";
-      tracking = false;
-      pending = Flat_table.create ~capacity:8 ~dummy:no_pending ();
-      flushed_lines = Flat_vec.create ~capacity:8 ();
-      fence_sweep_visits = 0;
-      fence_seq = 0;
-      fence_hook = None;
-      site = Site.unknown;
-      hooks = [];
-      next_hook_id = 0;
-      legacy_hook = None;
-      poisoned = Flat_table.copy t.poisoned (* media faults survive a crash *);
-      torn = Flat_table.create ~capacity:8 ~dummy:() ();
-      stat_gen = -1;
-      stat_cells = [];
-    }
-  in
+  let img = snapshot t in
   (* Each pending line reverts only its own bytes, so the table is walked
      in place: sorting its keys would allocate O(n log n) words per image,
      about 12 MB for the 32768 lines a 2 MiB zeroing leaves pending. *)
   Flat_table.iter t.pending (fun line p ->
-      if not (persisted line) then Bytes.blit p.old_bytes 0 img.data (line * cl) cl);
+      if not (persisted line) then blit_in img (line * cl) p.old_bytes 0 cl);
   (* Torn words compose with the surviving-line choice: even when the
      containing line is chosen as persisted, the registered 8-byte word
      reverts to its pre-store bytes (intra-line tearing — the store of
@@ -688,7 +788,7 @@ let crash_image t ~persisted =
   Flat_table.keys_sorted t.torn
   |> List.iter (fun off ->
          match Flat_table.find t.pending (off / cl) with
-         | Some p -> Bytes.blit p.old_bytes (off mod cl) img.data off 8
+         | Some p -> blit_in img off p.old_bytes (off mod cl) 8
          | None -> ());
   img
 
@@ -698,15 +798,20 @@ let set_fence_hook t hook = t.fence_hook <- hook
 
 let reset_fence_seq t = t.fence_seq <- 0
 
+(* Both stream the image page by page: no whole-device buffer. *)
 let save_file t path =
   let oc = open_out_bin path in
-  output_bytes oc t.data;
+  Array.iter (output_bytes oc) t.pages;
   close_out oc
 
 let load_file ?cost ?numa_nodes path =
   let ic = open_in_bin path in
   let size = in_channel_length ic in
   let t = create ?cost ?numa_nodes ~size () in
-  really_input ic t.data 0 size;
+  Array.iteri
+    (fun p page ->
+      let n = min (Bytes.length page) (size - (p * page_size)) in
+      really_input ic page 0 n)
+    t.pages;
   close_in ic;
   t

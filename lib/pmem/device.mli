@@ -16,7 +16,18 @@
     cache may also evict lines early, which the crash explorer models by
     allowing {e any} subset of pending lines to survive).  {!crash_image}
     materialises the device contents for a chosen surviving subset, which is
-    what the CrashMonkey-style checker replays recovery against. *)
+    what the CrashMonkey-style checker replays recovery against.
+
+    {2 Paged copy-on-write backing}
+
+    The contents live in fixed 64 KiB pages behind a page directory.  A
+    64B line never straddles a page; an unaligned 8-byte word may.
+    {!snapshot} and {!crash_image} share pages between devices, and each
+    device carries one "owned" bit per page: a store writes a page in
+    place only when this device owns it, and otherwise copies the page
+    first.  No page is ever shared between two offsets of one device, and
+    the GC frees a page once no device refers to it.  Cost charging is
+    per line and unaffected by the backing. *)
 
 module Cost : sig
   type t = {
@@ -74,7 +85,19 @@ type event =
 type t
 
 val create : ?cost:Cost.t -> ?numa_nodes:int -> size:int -> unit -> t
-(** A device of [size] bytes (rounded up to a cache line), zero-filled. *)
+(** A device of [size] bytes (rounded up to a cache line), zero-filled
+    and eager: every page is allocated private and zeroed here, so the
+    first stores of a workload never pay for materialising pages.  For
+    many blank devices of one size, {!snapshot} one that is never
+    written. *)
+
+val snapshot : t -> t
+(** A tracking-off device with the same contents, cost model, NUMA
+    layout and poisoned lines, fresh counters, no hooks and no torn
+    words.  It shares every page with [t] and clears the owned bits of
+    both, so it costs O(pages) and later stores on either side copy only
+    the pages they touch; neither device ever sees the other's stores
+    (including {!inject}'s bit flips). *)
 
 val size : t -> int
 val numa_nodes : t -> int
@@ -151,12 +174,13 @@ val fence_sweep_visits : t -> int
     without measuring wall-clock time. *)
 
 val crash_image : t -> persisted:(int -> bool) -> t
-(** A fresh, tracking-off device representing post-crash contents: pending
-    lines for which [persisted line = false] are reverted to their
-    pre-store bytes, then every registered {!Torn_word} on a pending line
-    reverts regardless of the line choice, and poisoned lines carry over
-    (media faults survive crashes).  Raises [Invalid_argument] if tracking
-    is off. *)
+(** A {!snapshot} representing post-crash contents: pending lines for
+    which [persisted line = false] are reverted to their pre-store bytes,
+    then every registered {!Torn_word} on a pending line reverts
+    regardless of the line choice, and poisoned lines carry over (media
+    faults survive crashes).  Costs O(pages) plus O(reverted lines): only
+    the pages holding a reverted line or torn word are copied.  Raises
+    [Invalid_argument] if tracking is off. *)
 
 (** {2 Media-fault injection}
 
@@ -246,3 +270,4 @@ val reset_fence_seq : t -> unit
 
 val save_file : t -> string -> unit
 val load_file : ?cost:Cost.t -> ?numa_nodes:int -> string -> t
+(** Both stream the image page by page, without a whole-device buffer. *)

@@ -5,6 +5,9 @@ module Device = Repro_pmem.Device
 
 let cpu () = Cpu.make ~id:0 ()
 
+(* The device's page size. *)
+let page = 65536
+
 let test_rw () =
   let d = Device.create ~cost:Device.Cost.free ~size:8192 () in
   let c = cpu () in
@@ -118,14 +121,24 @@ let test_numa_cost () =
   Alcotest.(check int) "node of offset" 1 (Device.node_of_offset d (3 * Units.mib))
 
 let test_save_load () =
+  (* Several pages plus a partial one, with data on both sides of every
+     page boundary. *)
   let path = Filename.temp_file "winefs" ".pm" in
-  let d = Device.create ~cost:Device.Cost.free ~size:8192 () in
+  let size = (2 * page) + 192 in
+  let d = Device.create ~cost:Device.Cost.free ~size () in
   let c = cpu () in
-  Device.write_string d c ~off:4000 "persist me";
-  Device.save_file d path;
-  let d2 = Device.load_file path in
-  Alcotest.(check string) "image round trip" "persist me"
-    (Device.read_string d2 c ~off:4000 ~len:10);
+  List.iter
+    (fun off -> Device.write_string d c ~off (Printf.sprintf "<%08d>" off))
+    [ 0; page - 5; (2 * page) - 3; size - 10 ];
+  let snap = Device.snapshot d in
+  Device.save_file snap path;
+  let d2 = Device.load_file ~cost:Device.Cost.free path in
+  Alcotest.(check int) "file holds the whole device" size
+    (In_channel.with_open_bin path In_channel.length |> Int64.to_int);
+  Alcotest.(check int) "same size" size (Device.size d2);
+  Alcotest.(check string) "same contents"
+    (Device.read_string d c ~off:0 ~len:size)
+    (Device.read_string d2 c ~off:0 ~len:size);
   Sys.remove path
 
 let test_multi_hook () =
@@ -283,6 +296,127 @@ let test_legacy_set_event_hook () =
   Alcotest.(check int) "second legacy hook replaced the first" 1 !legacy2;
   Alcotest.(check int) "multi hook saw all three" 3 !multi
 
+(* The paged backing against a flat [Bytes] model.  The device spans
+   three full 64 KiB pages and a partial fourth, and offsets cluster
+   around page boundaries so that pieces split across pages.  Snapshots
+   taken along the way must keep the contents of their moment while both
+   sides go on storing. *)
+let test_paged_differential () =
+  let size = (3 * page) + 4096 in
+  let d = Device.create ~cost:Device.Cost.free ~size () in
+  let model = Bytes.make size '\000' in
+  let c = cpu () in
+  let rng = Rng.create 0x9A6ED in
+  let contents d =
+    let b = Bytes.create size in
+    Device.peek d ~off:0 ~len:size ~dst:b ~dst_off:0;
+    Bytes.to_string b
+  in
+  (* An offset near a page boundary (or anywhere), and a length that
+     keeps [off, off+len) in range: mostly short, sometimes longer than
+     a page. *)
+  let pick_off () =
+    if Rng.bool rng then Rng.int rng size
+    else max 0 (min (size - 1) (((1 + Rng.int rng 3) * page) + Rng.int rng 256 - 128))
+  in
+  let pick_len off =
+    let room = size - off in
+    min room (if Rng.int rng 8 = 0 then Rng.int rng (page + 4096) else Rng.int rng 300)
+  in
+  let fill_random len = Bytes.init len (fun _ -> Char.chr (Rng.int rng 256)) in
+  let snaps = ref [] in
+  for step = 1 to 2000 do
+    let off = pick_off () in
+    let len = pick_len off in
+    (match Rng.int rng 9 with
+    | 0 | 1 ->
+        let src = fill_random (len + 3) in
+        (if Rng.bool rng then Device.write d c ~off ~src ~src_off:3 ~len
+         else Device.write_nt d c ~off ~src ~src_off:3 ~len);
+        Bytes.blit src 3 model off len
+    | 2 ->
+        let s = Bytes.to_string (fill_random len) in
+        (if Rng.bool rng then Device.write_string d c ~off s
+         else Device.write_string_nt d c ~off s);
+        Bytes.blit_string s 0 model off len
+    | 3 ->
+        let ch = Char.chr (Rng.int rng 256) in
+        (if Rng.bool rng then Device.memset d c ~off ~len ch
+         else Device.memset_nt d c ~off ~len ch);
+        Bytes.fill model off len ch
+    | 4 | 5 ->
+        (* Overlapping in either direction, or anywhere. *)
+        let dst =
+          if Rng.bool rng then max 0 (min (size - len) (off + Rng.int rng 512 - 256))
+          else Rng.int rng (size - len + 1)
+        in
+        (if Rng.bool rng then Device.copy_within d c ~src:off ~dst ~len
+         else Device.copy_within_nt d c ~src:off ~dst ~len);
+        Bytes.blit model off model dst len
+    | 6 ->
+        let off = if Rng.bool rng then page - 4 + (Rng.int rng 3 * page) else min off (size - 8) in
+        let v = Rng.int64 rng in
+        Device.write_u64 d c ~off v;
+        Bytes.set_int64_le model off v
+    | 7 ->
+        let off = if Rng.bool rng then page - 4 else min off (size - 8) in
+        Alcotest.(check int64)
+          (Printf.sprintf "step %d read_u64 @%d" step off)
+          (Bytes.get_int64_le model off) (Device.read_u64 d c ~off)
+    | _ ->
+        Alcotest.(check string)
+          (Printf.sprintf "step %d read_string @%d+%d" step off len)
+          (Bytes.sub_string model off len) (Device.read_string d c ~off ~len));
+    if step mod 250 = 0 then snaps := (Device.snapshot d, Bytes.to_string model) :: !snaps
+  done;
+  Alcotest.(check bool) "whole device equals the model" true (contents d = Bytes.to_string model);
+  List.iter
+    (fun (snap, frozen) ->
+      Alcotest.(check bool) "snapshot keeps the contents of its moment" true
+        (contents snap = frozen))
+    !snaps
+
+let test_snapshot_isolation () =
+  let d = Device.create ~cost:Device.Cost.free ~size:(2 * page) () in
+  let c = cpu () in
+  let read dev off = Device.read_string dev c ~off ~len:4 in
+  Device.write_string d c ~off:(page - 2) "AAAA";
+  let snap = Device.snapshot d in
+  Device.write_string d c ~off:(page - 2) "BBBB";
+  Alcotest.(check string) "source store invisible in the snapshot" "AAAA" (read snap (page - 2));
+  Device.write_string snap c ~off:100 "CCCC";
+  Alcotest.(check string) "snapshot store invisible in the source" "\000\000\000\000" (read d 100);
+  Alcotest.(check string) "source keeps its own store" "BBBB" (read d (page - 2));
+  (* The same both ways for a crash image of a tracked device. *)
+  Device.set_tracking d true;
+  Device.write_string d c ~off:200 "DDDD";
+  let img = Device.crash_image d ~persisted:(fun _ -> true) in
+  Device.write_string d c ~off:200 "EEEE";
+  Alcotest.(check string) "later source store invisible in the image" "DDDD" (read img 200);
+  Device.write_string img c ~off:(page + 8) "FFFF";
+  Alcotest.(check string) "image store invisible in the source" "\000\000\000\000"
+    (read d (page + 8));
+  Alcotest.(check string) "snapshot untouched by the image either" "\000\000\000\000"
+    (read snap (page + 8));
+  (* Empty accesses at the very end of a page-aligned device name a page
+     that does not exist. *)
+  Device.write_string d c ~off:(2 * page) "";
+  Device.memset d c ~off:(2 * page) ~len:0 'x';
+  Alcotest.(check string) "empty read at the end" "" (Device.read_string d c ~off:(2 * page) ~len:0)
+
+let test_snapshot_bit_flip () =
+  (* A campaign's blank template is shared by every device it hands out;
+     a bit flip planted in one of them must stay there. *)
+  let blank = Device.create ~cost:Device.Cost.free ~size:(2 * page) () in
+  let c = cpu () in
+  let a = Device.snapshot blank and b = Device.snapshot blank in
+  Device.inject a (Device.Bit_flip { off = page + 5; bit = 3 });
+  Alcotest.(check string) "flipped in the snapshot" "\008" (Device.read_string a c ~off:(page + 5) ~len:1);
+  Alcotest.(check string) "template untouched" "\000"
+    (Device.read_string blank c ~off:(page + 5) ~len:1);
+  Alcotest.(check string) "sibling snapshot untouched" "\000"
+    (Device.read_string b c ~off:(page + 5) ~len:1)
+
 let suite =
   [
     Alcotest.test_case "read/write" `Quick test_rw;
@@ -301,4 +435,7 @@ let suite =
     Alcotest.test_case "fence hook" `Quick test_fence_hook;
     Alcotest.test_case "numa cost" `Quick test_numa_cost;
     Alcotest.test_case "image save/load" `Quick test_save_load;
+    Alcotest.test_case "paged: differential vs flat model" `Quick test_paged_differential;
+    Alcotest.test_case "paged: snapshot isolation" `Quick test_snapshot_isolation;
+    Alcotest.test_case "paged: bit flip on a snapshot" `Quick test_snapshot_bit_flip;
   ]
