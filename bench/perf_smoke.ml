@@ -1,12 +1,13 @@
-(* @perf-smoke: operation-count budgets for the flat substrate and the
-   paged device.
+(* @perf-smoke: operation-count budgets for the flat substrate, the
+   paged device and the memory simulator's access path.
 
    Wall-clock assertions flake under CI load, so the perf regressions
    this guards are expressed as deterministic operation counts instead:
    hash-probe work per table operation, pending-entries visited per
-   fence, and major-heap words per crash image and campaign device.  A
-   regression that reintroduces O(all-pending) fence sweeps, degenerate
-   probe chains or whole-device copies fails these budgets on any
+   fence, major-heap words per crash image and campaign device, and
+   minor-heap words per mapped read.  A regression that reintroduces
+   O(all-pending) fence sweeps, degenerate probe chains, whole-device
+   copies or per-access allocation in Vmem fails these budgets on any
    machine, loaded or not. *)
 
 open Repro_util
@@ -114,11 +115,37 @@ let device_copy_budget () =
   in
   budget "major words: crash image + device" ~actual:words ~limit:(size / 8 / 16)
 
+let vmem_read_budget () =
+  (* 10k reads of a 1 KiB record (plus a 16-byte header, so records
+     straddle 4 KiB pages) through a pre-faulted base-page mapping: the
+     access path must not allocate per access or per cache line.  The
+     smallest heap block is two words, so a budget of one word per read
+     fails on any per-read allocation. *)
+  let module Vmem = Repro_memsim.Vmem in
+  let dev = Device.create ~cost:Device.Cost.free ~size:(16 * Units.mib) () in
+  let cpu = Cpu.make ~id:0 () in
+  let vm = Vmem.create dev in
+  let len = 8 * Units.mib in
+  let backing _cpu ~file_off ~huge_ok:_ =
+    Vmem.Base (Units.round_down file_off Units.base_page)
+  in
+  let r = Vmem.mmap vm ~len ~backing () in
+  Vmem.prefault vm cpu r;
+  let rec_bytes = 1040 and reads = 10_000 in
+  let slots = len / rec_bytes in
+  let w0 = Gc.minor_words () in
+  for i = 0 to reads - 1 do
+    Vmem.read vm cpu r ~off:((i * 7919 mod slots) * rec_bytes) ~len:rec_bytes
+  done;
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  budget "minor words: 10k 1 KiB Vmem.reads" ~actual:words ~limit:reads
+
 let () =
   table_probe_budget ();
   table_tombstone_budget ();
   fence_sweep_budget ();
   device_copy_budget ();
+  vmem_read_budget ();
   if !failures > 0 then begin
     Printf.printf "%d perf budget(s) exceeded\n" !failures;
     exit 1

@@ -17,4 +17,3 @@ val probe : t -> int -> bool
 
 val invalidate : t -> int -> unit
 val clear : t -> unit
-val capacity : t -> int

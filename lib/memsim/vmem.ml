@@ -31,9 +31,21 @@ type t = {
   tlb_2m : Lru_sets.t;
   tlb_l2 : Lru_sets.t;
   llc : Lru_sets.t;
-  pt_4k : (int, int) Hashtbl.t; (* vpn -> phys page base *)
-  pt_2m : (int, int) Hashtbl.t; (* 2M chunk index -> phys 2M base *)
+  pt_4k : int Flat_table.t; (* vpn -> phys page base; -1 = unmapped *)
+  pt_2m : int Flat_table.t; (* 2M chunk index -> phys 2M base *)
   counters : Counters.t;
+  (* Cells of [counters], resolved once so the access path never looks a
+     counter up by name. *)
+  llc_hits : int ref;
+  llc_misses : int ref;
+  tlb_hits : int ref;
+  tlb_misses : int ref;
+  page_faults : int ref;
+  huge_faults : int ref;
+  fault_ns : int ref;
+  mutable avail : int;
+      (* Bytes from the address [translate] last resolved to the end of
+         its page: a second result that costs no tuple. *)
   mutable next_va : int;
   mutable next_region : int;
 }
@@ -43,6 +55,8 @@ let huge = Units.huge_page
 let cl = Units.cacheline
 
 let create ?(config = Mmu_config.default) dev =
+  let counters = Counters.create () in
+  let cell = Counters.cell counters in
   {
     dev;
     cfg = config;
@@ -50,9 +64,17 @@ let create ?(config = Mmu_config.default) dev =
     tlb_2m = Lru_sets.create ~sets:config.l1_tlb_2m_sets ~ways:config.l1_tlb_2m_ways;
     tlb_l2 = Lru_sets.create ~sets:config.l2_tlb_sets ~ways:config.l2_tlb_ways;
     llc = Lru_sets.create ~sets:config.llc_sets ~ways:config.llc_ways;
-    pt_4k = Hashtbl.create 4096;
-    pt_2m = Hashtbl.create 256;
-    counters = Counters.create ();
+    pt_4k = Flat_table.create ~capacity:4096 ~dummy:(-1) ();
+    pt_2m = Flat_table.create ~capacity:256 ~dummy:(-1) ();
+    counters;
+    llc_hits = cell "mm.llc_hits";
+    llc_misses = cell "mm.llc_misses";
+    tlb_hits = cell "mm.tlb_hits";
+    tlb_misses = cell "mm.tlb_misses";
+    page_faults = cell "mm.page_faults";
+    huge_faults = cell "mm.huge_faults";
+    fault_ns = cell "mm.fault_ns";
+    avail = 0;
     next_va = huge;
     next_region = 0;
   }
@@ -94,18 +116,18 @@ let pte_line_2m chunk = (chunk lsr 3) lor (2 lsl 59)
 let pmd_line_4k vpn = (vpn lsr 12) lor (3 lsl 59)
 let pud_line vpn = (vpn lsr 21) lor (4 lsl 59)
 
-let charge _t (cpu : Cpu.t) ns = Simclock.advance cpu.clock (int_of_float ns)
+let charge (cpu : Cpu.t) ns = Simclock.advance cpu.clock (int_of_float ns)
 
 (* LLC access for a page-table line: returns nothing, charges hit or DRAM
    fill time. *)
 let pte_fetch t cpu line =
   if Lru_sets.access t.llc line then begin
-    Counters.incr t.counters "mm.llc_hits";
-    charge t cpu t.cfg.llc_hit_ns
+    incr t.llc_hits;
+    charge cpu t.cfg.llc_hit_ns
   end
   else begin
-    Counters.incr t.counters "mm.llc_misses";
-    charge t cpu t.cfg.dram_access_ns
+    incr t.llc_misses;
+    charge cpu t.cfg.dram_access_ns
   end
 
 (* TLB lookup; on miss, walk the page table (fetch the PTE line through the
@@ -113,16 +135,16 @@ let pte_fetch t cpu line =
 let tlb_access t cpu ~is_huge ~key4k ~key2m =
   let l1 = if is_huge then t.tlb_2m else t.tlb_4k in
   let l1_key = if is_huge then key2m else key4k in
-  if Lru_sets.access l1 l1_key then Counters.incr t.counters "mm.tlb_hits"
+  if Lru_sets.access l1 l1_key then incr t.tlb_hits
   else begin
     let l2_key = if is_huge then l2_key_2m key2m else l2_key_4k key4k in
     if Lru_sets.access t.tlb_l2 l2_key then begin
-      Counters.incr t.counters "mm.tlb_hits";
-      charge t cpu t.cfg.l2_tlb_hit_ns
+      incr t.tlb_hits;
+      charge cpu t.cfg.l2_tlb_hit_ns
     end
     else begin
-      Counters.incr t.counters "mm.tlb_misses";
-      charge t cpu t.cfg.walk_base_ns;
+      incr t.tlb_misses;
+      charge cpu t.cfg.walk_base_ns;
       (* Multi-level walk: 4KB pages chase PUD -> PMD -> PTE lines, 2MB
          pages stop at the PMD.  Upper-level lines cover wide ranges and
          usually hit the LLC; leaf PTE lines are the polluters. *)
@@ -140,6 +162,7 @@ let tlb_access t cpu ~is_huge ~key4k ~key2m =
 
 exception Sigbus_fault of string
 
+(* Install the mapping that covers [va], charging the fault. *)
 let handle_fault t cpu r va =
   let file_off = va - r.base_va in
   let t0 = Simclock.now cpu.Cpu.clock in
@@ -149,84 +172,72 @@ let handle_fault t cpu r va =
     if huge_possible then r.backing cpu ~file_off:chunk_file ~huge_ok:true
     else r.backing cpu ~file_off:(Units.round_down file_off base) ~huge_ok:false
   in
-  let phys =
-    match install_result with
-    | Huge phys ->
-        if not (Units.is_aligned phys huge) then
-          invalid_arg "Vmem: file system returned an unaligned hugepage extent";
-        let chunk = (r.base_va + chunk_file) / huge in
-        Hashtbl.replace t.pt_2m chunk phys;
-        r.huge_chunks <- r.huge_chunks + 1;
-        Counters.incr t.counters "mm.huge_faults";
-        Counters.incr t.counters "mm.page_faults";
-        charge t cpu t.cfg.fault_huge_ns;
-        if r.zero_on_fault then
-          Device.with_site t.dev site_fault (fun () ->
-              Device.memset t.dev cpu ~off:phys ~len:huge '\000';
-              Device.persist t.dev cpu ~off:phys ~len:huge);
-        phys + (va - (r.base_va + chunk_file)) / base * base
-    | Base phys ->
-        (* The FS may answer Base even when asked about a whole chunk
-           (unaligned backing); install just the faulting 4K page.  When
-           the answer covers the chunk start rather than the faulting
-           page, re-ask for the precise page. *)
-        let page_file = Units.round_down file_off base in
-        let phys =
-          if huge_possible && page_file <> chunk_file then
-            match r.backing cpu ~file_off:page_file ~huge_ok:false with
-            | Base p -> p
-            | Huge p -> p + (page_file - chunk_file)
-            | Sigbus -> raise (Sigbus_fault "no backing for page")
-          else phys
-        in
-        let vpn = (r.base_va + page_file) / base in
-        Hashtbl.replace t.pt_4k vpn phys;
-        r.base_pages <- r.base_pages + 1;
-        Counters.incr t.counters "mm.page_faults";
-        charge t cpu t.cfg.fault_base_ns;
-        if r.zero_on_fault then
-          Device.with_site t.dev site_fault (fun () ->
-              Device.memset t.dev cpu ~off:phys ~len:base '\000';
-              Device.persist t.dev cpu ~off:phys ~len:base);
-        phys
-    | Sigbus -> raise (Sigbus_fault (Printf.sprintf "fault at file offset %d" file_off))
-  in
-  Counters.add t.counters "mm.fault_ns" (Simclock.now cpu.Cpu.clock - t0);
-  phys
+  (match install_result with
+  | Huge phys ->
+      if not (Units.is_aligned phys huge) then
+        invalid_arg "Vmem: file system returned an unaligned hugepage extent";
+      Flat_table.set t.pt_2m ((r.base_va + chunk_file) / huge) phys;
+      r.huge_chunks <- r.huge_chunks + 1;
+      incr t.huge_faults;
+      incr t.page_faults;
+      charge cpu t.cfg.fault_huge_ns;
+      if r.zero_on_fault then
+        Device.with_site t.dev site_fault (fun () ->
+            Device.memset t.dev cpu ~off:phys ~len:huge '\000';
+            Device.persist t.dev cpu ~off:phys ~len:huge)
+  | Base phys ->
+      (* The FS may answer Base even when asked about a whole chunk
+         (unaligned backing); install just the faulting 4K page.  When
+         the answer covers the chunk start rather than the faulting
+         page, re-ask for the precise page. *)
+      let page_file = Units.round_down file_off base in
+      let phys =
+        if huge_possible && page_file <> chunk_file then
+          match r.backing cpu ~file_off:page_file ~huge_ok:false with
+          | Base p -> p
+          | Huge p -> p + (page_file - chunk_file)
+          | Sigbus -> raise (Sigbus_fault "no backing for page")
+        else phys
+      in
+      Flat_table.set t.pt_4k ((r.base_va + page_file) / base) phys;
+      r.base_pages <- r.base_pages + 1;
+      incr t.page_faults;
+      charge cpu t.cfg.fault_base_ns;
+      if r.zero_on_fault then
+        Device.with_site t.dev site_fault (fun () ->
+            Device.memset t.dev cpu ~off:phys ~len:base '\000';
+            Device.persist t.dev cpu ~off:phys ~len:base)
+  | Sigbus -> raise (Sigbus_fault (Printf.sprintf "fault at file offset %d" file_off)));
+  t.fault_ns := !(t.fault_ns) + (Simclock.now cpu.Cpu.clock - t0)
 
-(* Translate [va]; returns the physical address and the number of bytes
-   until the end of the containing page (the caller may access that much
-   without re-translating). *)
-let translate t cpu r va =
+(* Translate [va] to its physical address, and leave in [t.avail] the
+   number of bytes until the end of the containing page (the caller may
+   access that much without re-translating).  After a fault, translate
+   again now that the mapping exists, which charges the TLB fill for the
+   new entry. *)
+let rec translate t cpu r va =
   let chunk = va / huge in
-  match Hashtbl.find_opt t.pt_2m chunk with
-  | Some phys_base ->
-      tlb_access t cpu ~is_huge:true ~key4k:0 ~key2m:chunk;
-      let in_chunk = va - (chunk * huge) in
-      (phys_base + in_chunk, huge - in_chunk)
-  | None -> (
-      let vpn = va / base in
-      match Hashtbl.find_opt t.pt_4k vpn with
-      | Some phys_page ->
-          tlb_access t cpu ~is_huge:false ~key4k:vpn ~key2m:0;
-          let in_page = va - (vpn * base) in
-          (phys_page + in_page, base - in_page)
-      | None ->
-          let phys = handle_fault t cpu r va in
-          (* Re-translate now that the mapping exists (charges the TLB
-             fill for the new entry). *)
-          let chunk_hit = Hashtbl.mem t.pt_2m chunk in
-          if chunk_hit then begin
-            tlb_access t cpu ~is_huge:true ~key4k:0 ~key2m:chunk;
-            let in_chunk = va - (chunk * huge) in
-            (Hashtbl.find t.pt_2m chunk + in_chunk, huge - in_chunk)
-          end
-          else begin
-            tlb_access t cpu ~is_huge:false ~key4k:vpn ~key2m:0;
-            let in_page = va - (vpn * base) in
-            ignore phys;
-            (Hashtbl.find t.pt_4k vpn + in_page, base - in_page)
-          end)
+  let phys_base = Flat_table.get t.pt_2m chunk ~default:(-1) in
+  if phys_base >= 0 then begin
+    tlb_access t cpu ~is_huge:true ~key4k:0 ~key2m:chunk;
+    let in_chunk = va - (chunk * huge) in
+    t.avail <- huge - in_chunk;
+    phys_base + in_chunk
+  end
+  else begin
+    let vpn = va / base in
+    let phys_page = Flat_table.get t.pt_4k vpn ~default:(-1) in
+    if phys_page >= 0 then begin
+      tlb_access t cpu ~is_huge:false ~key4k:vpn ~key2m:0;
+      let in_page = va - (vpn * base) in
+      t.avail <- base - in_page;
+      phys_page + in_page
+    end
+    else begin
+      handle_fault t cpu r va;
+      translate t cpu r va
+    end
+  end
 
 let check_region r ~off ~len =
   if not r.live then invalid_arg "Vmem: access to unmapped region";
@@ -235,77 +246,82 @@ let check_region r ~off ~len =
       (Printf.sprintf "Vmem: access [%d,%d) outside region of %d bytes" off (off + len)
          r.len)
 
+(* Charge PM time for the missing lines [first, last] of the read
+   [phys, phys + len). *)
+let charge_misses t cpu ~phys ~len first last =
+  let off = max phys (first * cl) in
+  let stop = min (phys + len) ((last + 1) * cl) in
+  Device.touch_read t.dev cpu ~off ~len:(stop - off)
+
 (* Data read through the LLC: per cache line, a hit charges llc_hit_ns and
    skips the device; a miss reads PM.  Contiguous missing lines are
-   batched into one device time-charge to keep bulk scans cheap; the data
-   itself is copied once at the end (cost already accounted). *)
-let read_lines t cpu ~phys ~len ~dst =
+   batched into one device time-charge to keep bulk scans cheap.  Hits
+   are charged together at the end, [hits] times the truncated per-hit
+   cost, which is the same sum as one charge per hit. *)
+let read_lines t cpu ~phys ~len =
   let first_line = phys / cl and last_line = (phys + len - 1) / cl in
-  let charge_run run_start run_end =
-    if run_end >= run_start then begin
-      let off = max phys (run_start * cl) in
-      let stop = min (phys + len) ((run_end + 1) * cl) in
-      Device.touch_read t.dev cpu ~off ~len:(stop - off)
-    end
-  in
-  let run_start = ref 0 and run_end = ref (-1) in
+  let hits = ref 0 in
+  let run_start = ref first_line (* first line of the current miss run *) in
   for line = first_line to last_line do
     if Lru_sets.access t.llc line then begin
-      Counters.incr t.counters "mm.llc_hits";
-      charge t cpu t.cfg.llc_hit_ns;
-      charge_run !run_start !run_end;
-      run_start := line + 1;
-      run_end := line
-    end
-    else begin
-      Counters.incr t.counters "mm.llc_misses";
-      if !run_end < !run_start then run_start := line;
-      run_end := line
+      incr hits;
+      if line > !run_start then charge_misses t cpu ~phys ~len !run_start (line - 1);
+      run_start := line + 1
     end
   done;
-  charge_run !run_start !run_end;
-  match dst with
-  | Some (buf, buf_off) -> Device.peek t.dev ~off:phys ~len ~dst:buf ~dst_off:buf_off
-  | None -> ()
+  if last_line >= !run_start then charge_misses t cpu ~phys ~len !run_start last_line;
+  t.llc_hits := !(t.llc_hits) + !hits;
+  t.llc_misses := !(t.llc_misses) + (last_line - first_line + 1 - !hits);
+  Simclock.advance cpu.Cpu.clock (!hits * int_of_float t.cfg.llc_hit_ns)
 
-let rec access t cpu r ~off ~len ~f =
-  if len > 0 then begin
-    let phys, avail = translate t cpu r (r.base_va + off) in
-    let n = min len avail in
-    f ~phys ~n ~off;
-    if n < len then access t cpu r ~off:(off + n) ~len:(len - n) ~f
-  end
+(* What [walk] does to each in-page piece of a range.  A constant
+   constructor rather than a closure, so that walking a range allocates
+   nothing of its own. *)
+type op = Load | Load_into | Store | Fill
+
+(* Apply [op] to [len] bytes at region offset [off], one translation per
+   page.  [buf]/[buf_off] are the destination of [Load_into] and the
+   source of [Store]; [c] is the byte [Fill] writes. *)
+let walk t cpu r op ~off ~len ~buf ~buf_off ~c =
+  check_region r ~off ~len;
+  let va = r.base_va + off in
+  let pos = ref 0 in
+  while !pos < len do
+    let phys = translate t cpu r (va + !pos) in
+    let n = min (len - !pos) t.avail in
+    (match op with
+    | Load -> read_lines t cpu ~phys ~len:n
+    | Load_into ->
+        read_lines t cpu ~phys ~len:n;
+        Device.peek t.dev ~off:phys ~len:n ~dst:buf ~dst_off:(buf_off + !pos)
+    | Store ->
+        let src_off = buf_off + !pos in
+        Device.with_site t.dev site_store (fun () ->
+            Device.write_nt t.dev cpu ~off:phys ~src:buf ~src_off ~len:n)
+    | Fill ->
+        Device.with_site t.dev site_store (fun () -> Device.memset_nt t.dev cpu ~off:phys ~len:n c));
+    pos := !pos + n
+  done
+
+let read t cpu r ~off ~len = walk t cpu r Load ~off ~len ~buf:Bytes.empty ~buf_off:0 ~c:'\000'
 
 let read_into t cpu r ~off ~dst ~dst_off ~len =
-  check_region r ~off ~len;
-  access t cpu r ~off ~len ~f:(fun ~phys ~n ~off:cur ->
-      read_lines t cpu ~phys ~len:n ~dst:(Some (dst, dst_off + cur - off)))
-
-let read t cpu r ~off ~len =
-  check_region r ~off ~len;
-  access t cpu r ~off ~len ~f:(fun ~phys ~n ~off:_ ->
-      read_lines t cpu ~phys ~len:n ~dst:None)
+  walk t cpu r Load_into ~off ~len ~buf:dst ~buf_off:dst_off ~c:'\000'
 
 let write_bytes t cpu r ~off ~src ~src_off ~len =
-  check_region r ~off ~len;
-  access t cpu r ~off ~len ~f:(fun ~phys ~n ~off:cur ->
-      Device.with_site t.dev site_store (fun () ->
-          Device.write_nt t.dev cpu ~off:phys ~src ~src_off:(src_off + cur - off) ~len:n))
+  walk t cpu r Store ~off ~len ~buf:src ~buf_off:src_off ~c:'\000'
 
 let write t cpu r ~off ~src =
   write_bytes t cpu r ~off ~src:(Bytes.unsafe_of_string src) ~src_off:0
     ~len:(String.length src)
 
-let fill t cpu r ~off ~len c =
-  check_region r ~off ~len;
-  access t cpu r ~off ~len ~f:(fun ~phys ~n ~off:_ ->
-      Device.with_site t.dev site_store (fun () -> Device.memset_nt t.dev cpu ~off:phys ~len:n c))
+let fill t cpu r ~off ~len c = walk t cpu r Fill ~off ~len ~buf:Bytes.empty ~buf_off:0 ~c
 
 let read_u64 t cpu r ~off =
   check_region r ~off ~len:8;
-  let phys, avail = translate t cpu r (r.base_va + off) in
-  if avail >= 8 then begin
-    read_lines t cpu ~phys ~len:8 ~dst:None;
+  let phys = translate t cpu r (r.base_va + off) in
+  if t.avail >= 8 then begin
+    read_lines t cpu ~phys ~len:8;
     Device.read_u64 t.dev cpu ~off:phys
   end
   else begin
@@ -316,8 +332,8 @@ let read_u64 t cpu r ~off =
 
 let write_u64 t cpu r ~off v =
   check_region r ~off ~len:8;
-  let phys, avail = translate t cpu r (r.base_va + off) in
-  if avail >= 8 then
+  let phys = translate t cpu r (r.base_va + off) in
+  if t.avail >= 8 then
     Device.with_site t.dev site_store (fun () -> Device.write_u64 t.dev cpu ~off:phys v)
   else begin
     let buf = Bytes.create 8 in
@@ -328,15 +344,21 @@ let write_u64 t cpu r ~off v =
 let persist t cpu r ~off ~len =
   check_region r ~off ~len;
   Device.with_site t.dev site_persist (fun () ->
-      access t cpu r ~off ~len ~f:(fun ~phys ~n ~off:_ ->
-          Device.flush t.dev cpu ~off:phys ~len:n);
+      let va = r.base_va + off in
+      let pos = ref 0 in
+      while !pos < len do
+        let phys = translate t cpu r (va + !pos) in
+        let n = min (len - !pos) t.avail in
+        Device.flush t.dev cpu ~off:phys ~len:n;
+        pos := !pos + n
+      done;
       Device.fence t.dev cpu)
 
 let prefault t cpu r =
   let off = ref 0 in
   while !off < r.len do
-    let _, avail = translate t cpu r (r.base_va + !off) in
-    off := !off + avail
+    ignore (translate t cpu r (r.base_va + !off));
+    off := !off + t.avail
   done
 
 let munmap t r =
@@ -346,12 +368,12 @@ let munmap t r =
     let stop = r.base_va + Units.round_up r.len base in
     while !va < stop do
       let chunk = !va / huge in
-      if Units.is_aligned !va huge && Hashtbl.mem t.pt_2m chunk then begin
-        Hashtbl.remove t.pt_2m chunk;
+      if Units.is_aligned !va huge && Flat_table.mem t.pt_2m chunk then begin
+        Flat_table.remove t.pt_2m chunk;
         va := !va + huge
       end
       else begin
-        Hashtbl.remove t.pt_4k (!va / base);
+        Flat_table.remove t.pt_4k (!va / base);
         va := !va + base
       end
     done;
@@ -362,10 +384,3 @@ let munmap t r =
 
 let huge_mapped_bytes _t r = r.huge_chunks * huge
 let base_mapped_pages _t r = r.base_pages
-
-let drop_tlb t =
-  Lru_sets.clear t.tlb_4k;
-  Lru_sets.clear t.tlb_2m;
-  Lru_sets.clear t.tlb_l2
-
-let drop_llc t = Lru_sets.clear t.llc

@@ -16,7 +16,11 @@
 
     Counters (in the space's counter set): "mm.page_faults",
     "mm.huge_faults", "mm.tlb_hits", "mm.tlb_misses", "mm.llc_hits",
-    "mm.llc_misses", "mm.fault_ns". *)
+    "mm.llc_misses", "mm.fault_ns".  All seven exist, at zero, from
+    {!create} on.
+
+    Loads through a mapped page allocate nothing on the host and do no
+    hashing; stores allocate only the device's site bracket. *)
 
 open Repro_util
 
@@ -80,8 +84,3 @@ val huge_mapped_bytes : t -> region -> int
 (** Bytes of the region currently mapped by hugepages. *)
 
 val base_mapped_pages : t -> region -> int
-
-val drop_tlb : t -> unit
-(** Flush all TLBs (e.g. after a context switch in experiments). *)
-
-val drop_llc : t -> unit

@@ -490,16 +490,18 @@ let dispatch ?cpu t ev =
   | [] -> ()
   | hooks -> List.iter (fun (_, h) -> h cpu t.site ev) hooks
 
-let emit_store ?cpu t ~off ~len ~nt =
+(* [cpu] is positional, not [?cpu]: an optional argument would box
+   [Some cpu] on every access, hooks or not. *)
+let emit_store cpu t ~off ~len ~nt =
   (match t.hooks with
   | [] -> ()
-  | _ -> dispatch ?cpu t (Store { off; len; nt }));
+  | _ -> dispatch ~cpu t (Store { off; len; nt }));
   stat_store t ~len ~nt
 
-let emit_load ?cpu t ~off ~len =
+let emit_load cpu t ~off ~len =
   (match t.hooks with
   | [] -> ()
-  | _ -> dispatch ?cpu t (Load { off; len }));
+  | _ -> dispatch ~cpu t (Load { off; len }));
   stat_load t ~len
 
 let current_site t = t.site
@@ -563,7 +565,7 @@ let read t cpu ~off ~len ~dst ~dst_off =
   check_poison t off len;
   charge_read t cpu ~off ~len;
   blit_out t off dst dst_off len;
-  emit_load ~cpu t ~off ~len
+  emit_load cpu t ~off ~len
 
 let write t cpu ~off ~src ~src_off ~len =
   check_range t off len;
@@ -571,13 +573,13 @@ let write t cpu ~off ~src ~src_off ~len =
   clear_poison_on_store t off len;
   charge_write t cpu ~off ~len;
   blit_in t off src src_off len;
-  emit_store ~cpu t ~off ~len ~nt:false
+  emit_store cpu t ~off ~len ~nt:false
 
 let read_string t cpu ~off ~len =
   check_range t off len;
   check_poison t off len;
   charge_read t cpu ~off ~len;
-  emit_load ~cpu t ~off ~len;
+  emit_load cpu t ~off ~len;
   let b = Bytes.create len in
   blit_out t off b 0 len;
   Bytes.unsafe_to_string b
@@ -589,7 +591,7 @@ let write_string t cpu ~off s =
   clear_poison_on_store t off len;
   charge_write t cpu ~off ~len;
   blit_string_in t off s;
-  emit_store ~cpu t ~off ~len ~nt:false
+  emit_store cpu t ~off ~len ~nt:false
 
 (* Non-temporal stores: bypass the cache and become durable at the next
    fence without explicit clwb (the fast path PM file systems use for bulk
@@ -600,7 +602,7 @@ let write_nt t cpu ~off ~src ~src_off ~len =
   clear_poison_on_store t off len;
   charge_write t cpu ~off ~len;
   blit_in t off src src_off len;
-  emit_store ~cpu t ~off ~len ~nt:true
+  emit_store cpu t ~off ~len ~nt:true
 
 let write_string_nt t cpu ~off s =
   let len = String.length s in
@@ -609,7 +611,7 @@ let write_string_nt t cpu ~off s =
   clear_poison_on_store t off len;
   charge_write t cpu ~off ~len;
   blit_string_in t off s;
-  emit_store ~cpu t ~off ~len ~nt:true
+  emit_store cpu t ~off ~len ~nt:true
 
 let memset_nt t cpu ~off ~len c =
   check_range t off len;
@@ -617,7 +619,7 @@ let memset_nt t cpu ~off ~len c =
   clear_poison_on_store t off len;
   charge_write t cpu ~off ~len;
   fill t off len c;
-  emit_store ~cpu t ~off ~len ~nt:true
+  emit_store cpu t ~off ~len ~nt:true
 
 let copy_within_nt t cpu ~src ~dst ~len =
   check_range t src len;
@@ -628,8 +630,8 @@ let copy_within_nt t cpu ~src ~dst ~len =
   clear_poison_on_store t dst len;
   charge_write t cpu ~off:dst ~len;
   move t ~src ~dst ~len;
-  emit_load ~cpu t ~off:src ~len;
-  emit_store ~cpu t ~off:dst ~len ~nt:true
+  emit_load cpu t ~off:src ~len;
+  emit_store cpu t ~off:dst ~len ~nt:true
 
 let memset t cpu ~off ~len c =
   check_range t off len;
@@ -637,7 +639,7 @@ let memset t cpu ~off ~len c =
   clear_poison_on_store t off len;
   charge_write t cpu ~off ~len;
   fill t off len c;
-  emit_store ~cpu t ~off ~len ~nt:false
+  emit_store cpu t ~off ~len ~nt:false
 
 let copy_within t cpu ~src ~dst ~len =
   check_range t src len;
@@ -648,14 +650,14 @@ let copy_within t cpu ~src ~dst ~len =
   clear_poison_on_store t dst len;
   charge_write t cpu ~off:dst ~len;
   move t ~src ~dst ~len;
-  emit_load ~cpu t ~off:src ~len;
-  emit_store ~cpu t ~off:dst ~len ~nt:false
+  emit_load cpu t ~off:src ~len;
+  emit_store cpu t ~off:dst ~len ~nt:false
 
 let read_u64 t cpu ~off =
   check_range t off 8;
   check_poison t off 8;
   charge_read t cpu ~off ~len:8;
-  emit_load ~cpu t ~off ~len:8;
+  emit_load cpu t ~off ~len:8;
   get_u64 t off
 
 let write_u64 t cpu ~off v =
@@ -663,7 +665,7 @@ let write_u64 t cpu ~off v =
   track_store t off 8;
   charge_write t cpu ~off ~len:8;
   set_u64 t off v;
-  emit_store ~cpu t ~off ~len:8 ~nt:false
+  emit_store cpu t ~off ~len:8 ~nt:false
 
 let peek t ~off ~len ~dst ~dst_off =
   check_range t off len;
@@ -674,7 +676,7 @@ let touch_read t cpu ~off ~len =
   check_range t off len;
   check_poison t off len;
   charge_read t cpu ~off ~len;
-  emit_load ~cpu t ~off ~len
+  emit_load cpu t ~off ~len
 
 let flush t (cpu : Cpu.t) ~off ~len =
   check_range t off len;

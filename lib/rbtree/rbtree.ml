@@ -26,6 +26,7 @@ module type S = sig
   val find_first_geq : 'a t -> key -> (key * 'a) option
   val find_last_leq : 'a t -> key -> (key * 'a) option
   val iter : 'a t -> (key -> 'a -> unit) -> unit
+  val iter_from : 'a t -> key -> (key -> 'a -> bool) -> unit
   val fold : 'a t -> init:'b -> f:('b -> key -> 'a -> 'b) -> 'b
   val to_list : 'a t -> (key * 'a) list
   val check_invariants : 'a t -> (unit, string) result
@@ -216,6 +217,15 @@ module Make (Ord : ORDERED) : S with type key = Ord.t = struct
           go b
     in
     go t.root
+
+  (* In-order walk of the bindings >= [k]: subtrees wholly below [k] are
+     skipped, and a [false] from [f] unwinds without visiting more. *)
+  let iter_from t k f =
+    let rec go = function
+      | E -> true
+      | T (_, a, yk, yv, b) -> if Ord.compare yk k < 0 then go b else go a && f yk yv && go b
+    in
+    ignore (go t.root)
 
   let fold t ~init ~f =
     let acc = ref init in

@@ -47,6 +47,13 @@ module type S = sig
   val iter : 'a t -> (key -> 'a -> unit) -> unit
   (** In ascending key order. *)
 
+  val iter_from : 'a t -> key -> (key -> 'a -> bool) -> unit
+  (** [iter_from t k f] visits the bindings with key >= [k] in ascending
+      order while [f] returns [true]; the binding on which [f] returns
+      [false] is the last one visited.  One descent plus the visited
+      bindings, where a {!find_first_geq} per binding would pay a
+      descent each. *)
+
   val fold : 'a t -> init:'b -> f:('b -> key -> 'a -> 'b) -> 'b
   val to_list : 'a t -> (key * 'a) list
 

@@ -91,6 +91,25 @@ let locate t k =
   done;
   (!found, !ins)
 
+(* Slot of [k], or -1 when absent: [locate]'s probe without the insert
+   slot, so lookups return an int instead of allocating a pair. *)
+let find_slot t k =
+  let keys = t.keys and mask = t.mask in
+  let i = ref (hash k land mask) in
+  let found = ref (-1) in
+  let continue = ref true in
+  while !continue do
+    t.probes <- t.probes + 1;
+    let kk = Array.unsafe_get keys !i in
+    if kk = k then begin
+      found := !i;
+      continue := false
+    end
+    else if kk = empty_key then continue := false
+    else i := (!i + 1) land mask
+  done;
+  !found
+
 let rehash t new_cap =
   let old_keys = t.keys and old_vals = t.vals in
   t.keys <- Array.make new_cap empty_key;
@@ -119,21 +138,21 @@ let maybe_grow t =
 
 let mem t k =
   check_key k;
-  fst (locate t k) >= 0
+  find_slot t k >= 0
 
 let find t k =
   check_key k;
-  let slot, _ = locate t k in
+  let slot = find_slot t k in
   if slot >= 0 then Some t.vals.(slot) else None
 
 let get t k ~default =
   check_key k;
-  let slot, _ = locate t k in
+  let slot = find_slot t k in
   if slot >= 0 then t.vals.(slot) else default
 
 let set t k v =
   check_key k;
-  let slot, _ = locate t k in
+  let slot = find_slot t k in
   if slot >= 0 then t.vals.(slot) <- v
   else begin
     maybe_grow t;
@@ -148,7 +167,7 @@ let set t k v =
 
 let remove t k =
   check_key k;
-  let slot, _ = locate t k in
+  let slot = find_slot t k in
   if slot >= 0 then begin
     t.keys.(slot) <- tomb_key;
     t.vals.(slot) <- t.dummy;
@@ -206,7 +225,7 @@ let check_invariants t =
         else if k <> empty_key then dup := Some "slot holds an invalid sentinel")
       t.keys;
     (* Every live key must be findable via its own probe chain. *)
-    Array.iter (fun k -> if k >= 0 && fst (locate t k) < 0 then dup := Some "unreachable key") t.keys;
+    Array.iter (fun k -> if k >= 0 && find_slot t k < 0 then dup := Some "unreachable key") t.keys;
     match !dup with
     | Some m -> Error m
     | None ->

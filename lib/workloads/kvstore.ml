@@ -81,16 +81,11 @@ let read t cpu ~key =
 
 let scan t cpu ~key ~count =
   let found = ref 0 in
-  let k = ref key in
-  let exhausted = ref false in
-  while !found < count && not !exhausted do
-    match M.find_first_geq t.index !k with
-    | Some (k', loc) ->
+  if count > 0 then
+    M.iter_from t.index key (fun _ loc ->
         read_loc t cpu loc;
         incr found;
-        k := k' + 1
-    | None -> exhausted := true
-  done;
+        !found < count);
   !found
 
 let key_count t = M.size t.index

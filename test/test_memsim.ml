@@ -137,6 +137,116 @@ let test_munmap_drops () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
+(* Golden pin of the simulator's output.  A fixed, seeded stream of every
+   access kind runs over one region: read, read_into, write, fill, u64
+   loads and stores (half of them straddling a 4 KiB page), persist,
+   prefault, and munmap followed by a fresh mmap (once with
+   zero-on-fault, once with hugepages refused).  The region is two
+   hugepage chunks plus a partial third, so a [Huge]-capable backing
+   still faults base pages in its tail.  The exact mm.* counters, the
+   final simulated clock and a CRC of every byte read back must not move
+   when the host-side bookkeeping of the access path changes.  Shrunken
+   TLBs and LLC make every lookup outcome common (L1 and L2 TLB hits,
+   walks, PTE-line and data-line evictions), and fractional hit costs pin
+   that each hit charges its own truncated nanoseconds. *)
+let golden_config =
+  {
+    Repro_memsim.Mmu_config.default with
+    l1_tlb_2m_sets = 1;
+    l1_tlb_2m_ways = 1;
+    l2_tlb_sets = 8;
+    l2_tlb_ways = 2;
+    llc_sets = 64;
+    llc_ways = 4;
+    l2_tlb_hit_ns = 7.5;
+    llc_hit_ns = 22.7;
+  }
+
+let golden_run ~huge_capable =
+  let dev = Device.create ~size:(32 * Units.mib) () in
+  let vm = Vmem.create ~config:golden_config dev in
+  let c = cpu () in
+  let backing = flat_backing ~huge_capable () in
+  let base = Units.base_page in
+  let len = (2 * huge) + (3 * base) + 100 in
+  let r = ref (Vmem.mmap vm ~len ~backing ()) in
+  let rng = Rng.create 2021 in
+  let buf = Bytes.create 4096 in
+  let crc = ref Crc32c.init in
+  let u64_off off = if Rng.bool rng then ((1 + Rng.int rng ((len / base) - 1)) * base) - 4 else off in
+  for step = 1 to 3000 do
+    if step = 1000 || step = 2000 then begin
+      Vmem.munmap vm !r;
+      r :=
+        if step = 1000 then Vmem.mmap vm ~len ~backing ~zero_on_fault:true ()
+        else Vmem.mmap vm ~len ~backing ~huge_ok:false ()
+    end;
+    let n = 1 + Rng.int rng 3000 in
+    let off = Rng.int rng (len - n) in
+    match Rng.int rng 9 with
+    | 0 -> Vmem.read vm c !r ~off ~len:n
+    | 1 ->
+        Vmem.read_into vm c !r ~off ~dst:buf ~dst_off:0 ~len:n;
+        crc := Crc32c.update !crc buf ~off:0 ~len:n
+    | 2 -> Vmem.write vm c !r ~off ~src:(String.make n (Char.chr (97 + (step mod 26))))
+    | 3 -> Vmem.fill vm c !r ~off ~len:n 'f'
+    | 4 -> Vmem.write_u64 vm c !r ~off:(u64_off off) (Int64.of_int step)
+    | 5 ->
+        Bytes.set_int64_le buf 0 (Vmem.read_u64 vm c !r ~off:(u64_off off));
+        crc := Crc32c.update !crc buf ~off:0 ~len:8
+    | 6 -> Vmem.persist vm c !r ~off ~len:n
+    | 7 -> if step mod 50 = 0 then Vmem.prefault vm c !r else Vmem.read vm c !r ~off ~len:n
+    | _ ->
+        Vmem.read_into vm c !r ~off ~dst:buf ~dst_off:(4096 - n) ~len:n;
+        crc := Crc32c.update !crc buf ~off:(4096 - n) ~len:n
+  done;
+  let g = Counters.get (Vmem.counters vm) in
+  [
+    ("mm.llc_hits", g "mm.llc_hits");
+    ("mm.llc_misses", g "mm.llc_misses");
+    ("mm.tlb_hits", g "mm.tlb_hits");
+    ("mm.tlb_misses", g "mm.tlb_misses");
+    ("mm.page_faults", g "mm.page_faults");
+    ("mm.huge_faults", g "mm.huge_faults");
+    ("mm.fault_ns", g "mm.fault_ns");
+    ("now", Cpu.now c);
+    ("crc", Crc32c.finish !crc);
+  ]
+
+let golden_expect =
+  [
+    ( true,
+      [
+        ("mm.llc_hits", 3176);
+        ("mm.llc_misses", 33580);
+        ("mm.tlb_hits", 2184);
+        ("mm.tlb_misses", 1324);
+        ("mm.page_faults", 782);
+        ("mm.huge_faults", 4);
+        ("mm.fault_ns", 3545044);
+        ("now", 4874569);
+        ("crc", 2188122945);
+      ] );
+    ( false,
+      [
+        ("mm.llc_hits", 21101);
+        ("mm.llc_misses", 35648);
+        ("mm.tlb_hits", 586);
+        ("mm.tlb_misses", 7987);
+        ("mm.page_faults", 2826);
+        ("mm.huge_faults", 0);
+        ("mm.fault_ns", 6732928);
+        ("now", 8847268);
+        ("crc", 2188122945);
+      ] );
+  ]
+
+let test_golden huge_capable () =
+  Alcotest.(check (list (pair string int)))
+    (if huge_capable then "huge-backed" else "base-backed")
+    (List.assoc huge_capable golden_expect)
+    (golden_run ~huge_capable)
+
 (* Property: random reads/writes through a mapping agree with a model
    buffer, across hugepage and base-page mappings and u64 accessors. *)
 let prop_mmap_model =
@@ -183,4 +293,6 @@ let suite =
     Alcotest.test_case "tlb miss gap (fig 4)" `Quick test_tlb_miss_gap;
     Alcotest.test_case "zero on fault" `Quick test_zero_on_fault;
     Alcotest.test_case "munmap" `Quick test_munmap_drops;
+    Alcotest.test_case "golden: huge-backed stream" `Quick (test_golden true);
+    Alcotest.test_case "golden: base-backed stream" `Quick (test_golden false);
   ]

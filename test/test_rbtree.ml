@@ -69,6 +69,48 @@ let prop_successor =
       let expect = IM.find_first_opt (fun k -> k >= probe) model in
       RB.find_first_geq t probe = expect)
 
+(* iter_from against the model: the bindings >= the start key, in order,
+   cut after [limit] visits.  Random insert/remove streams (an empty one
+   gives the empty tree); start keys reach below the smallest and above
+   the largest key. *)
+let prop_iter_from =
+  QCheck.Test.make ~name:"iter_from matches filtered to_list" ~count:300
+    QCheck.(triple (list (pair (int_bound 200) bool)) (int_range (-10) 210) (int_range 1 60))
+    (fun (ops, start, limit) ->
+      let t = RB.create () in
+      List.iter (fun (k, ins) -> if ins then RB.insert t k (k * 3) else RB.remove t k) ops;
+      let seen = ref [] in
+      RB.iter_from t start (fun k v ->
+          seen := (k, v) :: !seen;
+          List.length !seen < limit);
+      let expect =
+        RB.to_list t
+        |> List.filter (fun (k, _) -> k >= start)
+        |> List.filteri (fun i _ -> i < limit)
+      in
+      List.rev !seen = expect)
+
+let test_iter_from_edges () =
+  let visit t start =
+    let seen = ref [] in
+    RB.iter_from t start (fun k _ ->
+        seen := k :: !seen;
+        true);
+    List.rev !seen
+  in
+  let t = RB.create () in
+  Alcotest.(check (list int)) "empty tree" [] (visit t 0);
+  List.iter (fun k -> RB.insert t k ()) [ 10; 20; 30; 40 ];
+  Alcotest.(check (list int)) "below min" [ 10; 20; 30; 40 ] (visit t 5);
+  Alcotest.(check (list int)) "exact" [ 30; 40 ] (visit t 30);
+  Alcotest.(check (list int)) "between" [ 40 ] (visit t 31);
+  Alcotest.(check (list int)) "above max" [] (visit t 41);
+  let first = ref [] in
+  RB.iter_from t 0 (fun k _ ->
+      first := k :: !first;
+      false);
+  Alcotest.(check (list int)) "stop at once" [ 10 ] !first
+
 (* --- extent tree --- *)
 
 let mib = Repro_util.Units.mib
@@ -169,6 +211,8 @@ let suite =
     Alcotest.test_case "rbtree neighbours" `Quick test_neighbours;
     QCheck_alcotest.to_alcotest prop_model;
     QCheck_alcotest.to_alcotest prop_successor;
+    QCheck_alcotest.to_alcotest prop_iter_from;
+    Alcotest.test_case "iter_from edges" `Quick test_iter_from_edges;
     Alcotest.test_case "extent coalescing" `Quick test_extent_coalesce;
     Alcotest.test_case "extent double free" `Quick test_extent_double_free;
     Alcotest.test_case "extent alloc modes" `Quick test_extent_alloc_modes;

@@ -36,6 +36,39 @@ let test_kvstore () =
   Alcotest.(check int) "scan" 10 (KV.scan store c ~key:990 ~count:10);
   Alcotest.(check int) "scan clipped at end" 5 (KV.scan store c ~key:995 ~count:10)
 
+let test_kvstore_scan () =
+  (* Keys 0, 2, ..., 198, key 10 rewritten to a newer record. *)
+  let mk () =
+    let store =
+      KV.create (winefs ~size:(64 * Units.mib) ()) ~segment_bytes:(4 * Units.mib)
+        ~value_bytes:512 ()
+    in
+    let c = cpu () in
+    for i = 0 to 99 do
+      KV.insert store c ~key:(2 * i)
+    done;
+    KV.update store c ~key:10;
+    (store, c)
+  in
+  let store, c = mk () in
+  let t0 = Cpu.now c in
+  Alcotest.(check int) "count = 0" 0 (KV.scan store c ~key:0 ~count:0);
+  Alcotest.(check int) "count = 0 reads nothing" t0 (Cpu.now c);
+  Alcotest.(check int) "start past the last key" 0 (KV.scan store c ~key:199 ~count:5);
+  Alcotest.(check int) "range runs out before count" 3 (KV.scan store c ~key:193 ~count:10);
+  (* A scan reads the same records, in the same order, as one read per
+     key: the simulated clock and the mapping counters agree exactly. *)
+  let a, ca = mk () and b, cb = mk () in
+  Alcotest.(check int) "scan count" 20 (KV.scan a ca ~key:7 ~count:20);
+  for i = 4 to 23 do
+    Alcotest.(check bool) "read" true (KV.read b cb ~key:(2 * i))
+  done;
+  Alcotest.(check int) "same simulated time" (Cpu.now cb) (Cpu.now ca);
+  Alcotest.(check (list (pair string int)))
+    "same mapping counters"
+    (Counters.snapshot (KV.vm_counters b))
+    (Counters.snapshot (KV.vm_counters a))
+
 let test_ycsb_mixes () =
   let store = KV.create (winefs ()) ~segment_bytes:(4 * Units.mib) ~value_bytes:256 () in
   let kv =
@@ -196,6 +229,7 @@ let suite =
     Alcotest.test_case "rsync xattr preserves alignment" `Slow
       test_rsync_xattr_preserves_alignment;
     Alcotest.test_case "kvstore" `Quick test_kvstore;
+    Alcotest.test_case "kvstore scan" `Quick test_kvstore_scan;
     Alcotest.test_case "ycsb mixes" `Quick test_ycsb_mixes;
     Alcotest.test_case "lmdb" `Quick test_lmdb;
     Alcotest.test_case "lmdb fault gap" `Quick test_lmdb_fault_gap;
