@@ -221,7 +221,9 @@ let frag_probe () =
              store_bytes := !store_bytes + len
          | Device.Load _ -> incr loads
          | _ -> ()));
-  let module E = Repro_baselines.Ext4_dax in
+  let module E = Repro_baselines.Registry.Of_preset (struct
+    let preset = Repro_baselines.Basefs.ext4_dax
+  end) in
   let fs = E.format dev (Types.config ~cpus:4 ~inodes_per_cpu:8192 ()) in
   let t0 = now () in
   age (Fs_intf.Handle ((module E), fs)) ~churn_bytes ~target_util:0.75;

@@ -1,7 +1,7 @@
 (** Configurable "classic extent file system" engine.
 
     The ext4-DAX, xfs-DAX and PMFS baselines are policy presets over this
-    engine (see {!Ext4_dax}, {!Xfs_dax}, {!Pmfs}): an extent allocator with
+    engine ({!ext4_dax}, {!xfs_dax}, {!pmfs}): an extent allocator with
     no aligned-extent reservation ({!Repro_alloc.Pool_alloc}), a metadata
     journal (global JBD2-style redo, or a single PM-optimised undo journal
     for PMFS), in-place data writes that become durable at fsync, and an
@@ -9,9 +9,10 @@
     to be aligned — exactly the behaviours §2.5/§2.6 blame for hugepage
     loss under aging.
 
-    Metadata lives in DRAM with journal traffic charged against real PM
-    addresses; mount-from-image is supported only for WineFS (the paper's
-    crash study, §5.2, targets WineFS alone) — see DESIGN.md. *)
+    Metadata lives in DRAM ({!Dram_namespace}) with journal traffic
+    charged against real PM addresses; mount-from-image is supported only
+    for WineFS (the paper's crash study, §5.2, targets WineFS alone) — see
+    DESIGN.md. *)
 
 open Repro_util
 module Device = Repro_pmem.Device
@@ -27,7 +28,6 @@ let site_zero = Site.v "basefs" "zero"
 let site_data = Site.v "basefs" "data"
 let site_fsync = Site.v "basefs" "fsync"
 let site_fault = Site.v "basefs" "fault"
-module Path = Repro_vfs.Path
 module Dir_index = Repro_vfs.Dir_index
 module Fd_table = Repro_vfs.Fd_table
 module Block_map = Repro_vfs.Block_map
@@ -57,24 +57,78 @@ type preset = {
   goal_alloc : bool;  (** pass the file's last extent as a locality goal *)
 }
 
+(* ext4-DAX: goal-based (locality-first) allocation with mballoc-style
+   power-of-two normalisation, a global JBD2 redo journal committed
+   stop-the-world at fsync, unwritten extents zeroed on first fault
+   (§5.4), and PMD faults that allocate 2MB without caring about
+   alignment — so hugepages appear on a clean file system but dissolve
+   with age (§2.5, Figure 3). *)
+let ext4_dax =
+  {
+    label = "ext4-DAX";
+    alloc_cfg =
+      {
+        Alloc.per_cpu = false;
+        policy = First_fit (* overridden by per-file goals *);
+        align_exact_2m = false;
+        normalize_pow2 = true;
+      };
+    dir_policy = Dir_index.Dram_rbtree;
+    journal = Jbd2_redo;
+    zero_on_fallocate = false;
+    misaligned_start = false;
+    huge_fault_alloc = true;
+    goal_alloc = true;
+  }
+
+(* xfs-DAX: locality/contiguity best-fit allocation that fully disregards
+   alignment (its data area does not even start 2MB-aligned: footnote 1 —
+   no hugepages even on a clean file system), with a global redo journal
+   committed stop-the-world at fsync. *)
+let xfs_dax =
+  {
+    label = "xfs-DAX";
+    alloc_cfg =
+      { Alloc.per_cpu = false; policy = Best_fit; align_exact_2m = false; normalize_pow2 = false };
+    dir_policy = Dir_index.Dram_rbtree;
+    journal = Jbd2_redo;
+    zero_on_fallocate = false;
+    misaligned_start = true;
+    huge_fault_alloc = false;
+    goal_alloc = true;
+  }
+
+(* PMFS: the code base WineFS builds on, minus everything WineFS adds — a
+   single fine-grained undo journal (§6: per-CPU in WineFS), a global
+   first-fit block allocator that ignores alignment (footnote 1: no
+   hugepages even clean), and sequential PM scans of directory entries
+   (§3.5: the slowdowns on metadata-heavy workloads like varmail). *)
+let pmfs =
+  {
+    label = "PMFS";
+    alloc_cfg =
+      { Alloc.per_cpu = false; policy = First_fit; align_exact_2m = false; normalize_pow2 = false };
+    dir_policy = Dir_index.Pm_linear_scan 130.;
+    journal = Pmfs_undo;
+    zero_on_fallocate = true;
+    misaligned_start = true;
+    huge_fault_alloc = false;
+    goal_alloc = false;
+  }
+
 type journal = Jredo of Redo.t | Jundo of Undo.t * Sched.mutex
 
-type file = {
-  ino : int;
-  mutable kind : Types.file_kind;
-  mutable size : int;
-  mutable nlink : int;
-  bmap : Block_map.t;
+type ext = {
   (* Fallocated-but-never-written file ranges.  Lazily allocated on the
      first fallocate: the common create/write/unlink lifecycle never
      fallocates, and the eager per-file tree was measurable in aging. *)
   mutable unwritten : Extent_tree.t option;
-  mutable dir : Dir_index.t option;
-  lock : Sched.mutex;
   mutable dirty_bytes : int;
   mutable goal : int; (* physical end of the last allocation *)
   meta_addr : int; (* synthetic PM address of this inode's metadata *)
 }
+
+type file = ext Dram_namespace.inode
 
 type t = {
   dev : Device.t;
@@ -82,17 +136,14 @@ type t = {
   preset : preset;
   alloc : Alloc.t;
   journal : journal;
-  files : (int, file) Hashtbl.t;
-  fds : Fd_table.t;
+  ns : ext Dram_namespace.t;
   counters : Counters.t;
-  mutable next_ino : int;
   inode_region : int;
   inode_slots : int;
   data_off : int;
   data_len : int;
 }
 
-let root_ino = 1
 let inode_meta_bytes = 256
 
 (* ------------------------------------------------------------------ *)
@@ -164,123 +215,84 @@ let format preset dev (cfg : Types.config) =
     else [| (data_off, data_len) |]
   in
   let cpus_for_alloc = if preset.alloc_cfg.per_cpu then cfg.cpus else 1 in
-  let t =
-    {
-      dev;
-      cfg;
-      preset;
-      alloc = Alloc.create preset.alloc_cfg ~cpus:cpus_for_alloc ~regions;
-      journal;
-      files = Hashtbl.create 1024;
-      fds = Fd_table.create ();
-      counters = Counters.create ();
-      next_ino = root_ino;
-      inode_region;
-      inode_slots;
-      data_off;
-      data_len;
-    }
-  in
-  (* Root. *)
-  let meta_addr = inode_region in
-  let root =
-    {
-      ino = root_ino;
-      kind = Types.Directory;
-      size = 0;
-      nlink = 2;
-      bmap = Block_map.create ();
-      unwritten = None;
-      dir = Some (Dir_index.create preset.dir_policy);
-      lock = Sched.create_mutex ();
-      dirty_bytes = 0;
-      goal = data_off;
-      meta_addr;
-    }
-  in
-  Hashtbl.replace t.files root_ino root;
-  t.next_ino <- root_ino + 1;
-  t
-
-let mount _dev _cfg =
-  Types.err EINVAL "baseline models do not support mount-from-image (see DESIGN.md)"
+  let root = { unwritten = None; dirty_bytes = 0; goal = data_off; meta_addr = inode_region } in
+  {
+    dev;
+    cfg;
+    preset;
+    alloc = Alloc.create preset.alloc_cfg ~cpus:cpus_for_alloc ~regions;
+    journal;
+    ns = Dram_namespace.create preset.dir_policy ~root;
+    counters = Counters.create ();
+    inode_region;
+    inode_slots;
+    data_off;
+    data_len;
+  }
 
 let unmount t cpu = journal_fsync t cpu
-
-let recovery_ns _ = 0
 let device t = t.dev
 let config t = t.cfg
 let counters t = t.counters
 
 (* ------------------------------------------------------------------ *)
-(* Shared machinery                                                    *)
+(* Namespace: metadata journaled synchronously after each index update *)
 
-let find_file t ino =
-  match Hashtbl.find_opt t.files ino with
-  | Some f -> f
-  | None -> Types.err EBADF "stale inode %d" ino
+include Dram_namespace.Make (struct
+  type fs = t
+  type nonrec ext = ext
 
-let meta_addr_for t ino = t.inode_region + (ino mod t.inode_slots * inode_meta_bytes)
+  let ns t = t.ns
+  let counters = counters
+  let alloc t = t.alloc
+  let capacity t = t.data_len
 
-let new_file t kind =
-  let ino = t.next_ino in
-  t.next_ino <- t.next_ino + 1;
-  let f =
+  let new_ext t ino =
     {
-      ino;
-      kind;
-      size = 0;
-      nlink = (if kind = Types.Directory then 2 else 1);
-      bmap = Block_map.create ();
       unwritten = None;
-      dir = (if kind = Types.Directory then Some (Dir_index.create t.preset.dir_policy) else None);
-      lock = Sched.create_mutex ();
       dirty_bytes = 0;
       goal = t.data_off;
-      meta_addr = meta_addr_for t ino;
+      meta_addr = t.inode_region + (ino mod t.inode_slots * inode_meta_bytes);
     }
-  in
-  Hashtbl.replace t.files ino f;
-  f
 
-let resolve t cpu path =
-  let parts = Path.split path in
-  let rec walk ino = function
-    | [] -> ino
-    | name :: rest -> (
-        let f = find_file t ino in
-        match f.dir with
-        | None -> Types.err ENOTDIR "%s" path
-        | Some idx -> (
-            match Dir_index.lookup idx cpu name with
-            | Some (child, _) -> walk child rest
-            | None -> Types.err ENOENT "%s" path))
-  in
-  walk root_ino parts
+  let slot = Dram_namespace.After_index
 
-let resolve_parent t cpu path =
-  let dir = Path.dirname path and name = Path.basename path in
-  let ino = resolve t cpu dir in
-  let f = find_file t ino in
-  if f.kind <> Types.Directory then Types.err ENOTDIR "%s" dir;
-  (f, name)
+  let persist t cpu : ext Dram_namespace.update -> unit = function
+    | Link { child; _ } | Unlink { child; _ } | Rmdir { child; _ } ->
+        meta_sync t cpu ~addr:child.ext.meta_addr ~bytes:128
+    | Rename { src_dir; _ } -> meta_sync t cpu ~addr:src_dir.ext.meta_addr ~bytes:192
+
+  let release t f = Dram_namespace.free_data t.alloc f
+
+  let truncate t cpu (f : file) =
+    Sched.with_lock f.lock (fun () ->
+        release t f;
+        f.size <- 0;
+        meta_sync t cpu ~addr:f.ext.meta_addr ~bytes:64)
+
+  let size _ (f : file) = f.size
+  let extra_blocks _ = 0
+end)
+
+(* ------------------------------------------------------------------ *)
+(* Data path: in-place, durable at fsync (metadata-consistency class)  *)
 
 let alloc_cpu t (cpu : Cpu.t) =
   if t.preset.alloc_cfg.per_cpu then cpu.id mod t.cfg.cpus else 0
 
-let allocate t cpu f ~len =
-  let goal = if t.preset.goal_alloc then Some f.goal else None in
+let allocate t cpu (f : file) ~len =
+  let goal = if t.preset.goal_alloc then Some f.ext.goal else None in
   match Alloc.alloc ?goal t.alloc ~cpu:(alloc_cpu t cpu) ~len with
   | Some exts ->
       (match List.rev exts with
-      | last :: _ -> f.goal <- last.Alloc.off + last.Alloc.len
+      | last :: _ -> f.ext.goal <- last.Alloc.off + last.Alloc.len
       | [] -> ());
       exts
   | None -> Types.err ENOSPC "allocating %d bytes" len
 
 (* Back every hole in [off, off+len) with block-granular extents;
    [unwritten] marks the new space as fallocate-style unwritten. *)
-let ensure_backing t cpu f ~off ~len ~unwritten =
+let ensure_backing t cpu (f : file) ~off ~len ~unwritten =
   let lo = Units.round_down off block and hi = Units.round_up (off + len) block in
   let cur = ref lo in
   while !cur < hi do
@@ -299,11 +311,11 @@ let ensure_backing t cpu f ~off ~len ~unwritten =
             Block_map.insert f.bmap ~file_off:!fo ~phys:e.off ~len:e.len;
             if unwritten then begin
               let tr =
-                match f.unwritten with
+                match f.ext.unwritten with
                 | Some tr -> tr
                 | None ->
                     let tr = Extent_tree.create () in
-                    f.unwritten <- Some tr;
+                    f.ext.unwritten <- Some tr;
                     tr
               in
               Extent_tree.insert_free tr ~off:!fo ~len:e.len
@@ -315,14 +327,14 @@ let ensure_backing t cpu f ~off ~len ~unwritten =
             fo := !fo + e.len)
           exts;
         (* Metadata: extent tree insertion journaled (one record). *)
-        meta_buffered t cpu ~addr:f.meta_addr ~bytes:64;
+        meta_buffered t cpu ~addr:f.ext.meta_addr ~bytes:64;
         cur := hole_end
   done
 
 (* Clear the unwritten flag over a range, zeroing the partial edges the
    write will not cover (ext4 semantics). *)
-let mark_written t cpu f ~off ~len =
-  match f.unwritten with
+let mark_written t cpu (f : file) ~off ~len =
+  match f.ext.unwritten with
   | None -> () (* the file never fallocated: nothing can be unwritten *)
   | Some unwritten ->
   let lo = Units.round_down off block and hi = Units.round_up (off + len) block in
@@ -359,164 +371,9 @@ let mark_written t cpu f ~off ~len =
             cur := next)
   done
 
-(* ------------------------------------------------------------------ *)
-(* Namespace ops (metadata journaled synchronously)                    *)
-
-let mkdir t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      if Dir_index.mem idx cpu name then Types.err EEXIST "%s" path;
-      let f = new_file t Types.Directory in
-      Dir_index.add idx cpu ~name ~ino:f.ino ~slot:0;
-      parent.nlink <- parent.nlink + 1;
-      meta_sync t cpu ~addr:f.meta_addr ~bytes:128);
-  Counters.incr t.counters "fs.mkdir"
-
-let create t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  let f =
-    Sched.with_lock parent.lock (fun () ->
-        let idx = Option.get parent.dir in
-        if Dir_index.mem idx cpu name then Types.err EEXIST "%s" path;
-        let f = new_file t Types.Regular in
-        Dir_index.add idx cpu ~name ~ino:f.ino ~slot:0;
-        meta_sync t cpu ~addr:f.meta_addr ~bytes:128;
-        f)
-  in
-  Counters.incr t.counters "fs.create";
-  Fd_table.alloc t.fds ~ino:f.ino ~flags:Types.o_creat_rdwr
-
-let free_file_space t f =
-  List.iter (fun (_, phys, len) -> Alloc.free t.alloc ~off:phys ~len) (Block_map.extents f.bmap);
-  Block_map.clear f.bmap
-
-let unlink t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      match Dir_index.lookup idx cpu name with
-      | None -> Types.err ENOENT "%s" path
-      | Some (ino, _) ->
-          let f = find_file t ino in
-          if f.kind = Types.Directory then Types.err EISDIR "%s" path;
-          Dir_index.remove idx cpu name;
-          meta_sync t cpu ~addr:f.meta_addr ~bytes:128;
-          f.nlink <- f.nlink - 1;
-          if f.nlink = 0 then
-            (* Hold the inode lock: a concurrent writer must not see its
-               backing vanish mid-operation. *)
-            Sched.with_lock f.lock (fun () ->
-                free_file_space t f;
-                Hashtbl.remove t.files ino));
-  Counters.incr t.counters "fs.unlink"
-
-let rmdir t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      match Dir_index.lookup idx cpu name with
-      | None -> Types.err ENOENT "%s" path
-      | Some (ino, _) ->
-          let f = find_file t ino in
-          if f.kind <> Types.Directory then Types.err ENOTDIR "%s" path;
-          if Dir_index.size (Option.get f.dir) > 0 then Types.err ENOTEMPTY "%s" path;
-          Dir_index.remove idx cpu name;
-          parent.nlink <- parent.nlink - 1;
-          meta_sync t cpu ~addr:f.meta_addr ~bytes:128;
-          Hashtbl.remove t.files ino);
-  Counters.incr t.counters "fs.rmdir"
-
-let rename t cpu ~old_path ~new_path =
-  Cost.charge_syscall cpu;
-  let src_parent, src_name = resolve_parent t cpu old_path in
-  let dst_parent, dst_name = resolve_parent t cpu new_path in
-  let locks =
-    if src_parent.ino = dst_parent.ino then [ src_parent.lock ]
-    else if src_parent.ino < dst_parent.ino then [ src_parent.lock; dst_parent.lock ]
-    else [ dst_parent.lock; src_parent.lock ]
-  in
-  List.iter Sched.lock locks;
-  Fun.protect
-    ~finally:(fun () -> List.iter Sched.unlock (List.rev locks))
-    (fun () ->
-      let src_idx = Option.get src_parent.dir and dst_idx = Option.get dst_parent.dir in
-      match Dir_index.lookup src_idx cpu src_name with
-      | None -> Types.err ENOENT "%s" old_path
-      | Some (ino, _) ->
-          (match Dir_index.lookup dst_idx cpu dst_name with
-          | Some (victim_ino, _) when victim_ino <> ino ->
-              let victim = find_file t victim_ino in
-              if victim.kind = Types.Directory then Types.err EISDIR "%s" new_path;
-              Dir_index.remove dst_idx cpu dst_name;
-              Sched.with_lock victim.lock (fun () ->
-                  free_file_space t victim;
-                  Hashtbl.remove t.files victim_ino)
-          | _ -> ());
-          Dir_index.remove src_idx cpu src_name;
-          Dir_index.add dst_idx cpu ~name:dst_name ~ino ~slot:0;
-          meta_sync t cpu ~addr:src_parent.meta_addr ~bytes:192);
-  Counters.incr t.counters "fs.rename"
-
-let readdir t cpu path =
-  Cost.charge_syscall cpu;
-  let f = find_file t (resolve t cpu path) in
-  match f.dir with
-  | None -> Types.err ENOTDIR "%s" path
-  | Some idx ->
-      Simclock.advance cpu.clock (Dir_index.size idx * 12);
-      List.map fst (Dir_index.entries idx)
-
-let stat t cpu path =
-  Cost.charge_syscall cpu;
-  let f = find_file t (resolve t cpu path) in
-  {
-    Types.st_ino = f.ino;
-    st_kind = f.kind;
-    st_size = f.size;
-    st_blocks = Block_map.mapped_bytes f.bmap;
-    st_nlink = f.nlink;
-  }
-
-let exists t cpu path =
-  match resolve t cpu path with
-  | _ -> true
-  | exception Types.Error ((ENOENT | ENOTDIR), _) -> false
-
-let rec openf t cpu path (flags : Types.open_flags) =
-  Cost.charge_syscall cpu;
-  match resolve t cpu path with
-  | ino ->
-      if flags.creat && flags.excl then Types.err EEXIST "%s" path;
-      let f = find_file t ino in
-      if f.kind = Types.Directory && flags.wr then Types.err EISDIR "%s" path;
-      if flags.trunc && f.kind = Types.Regular && f.size > 0 then
-        Sched.with_lock f.lock (fun () ->
-            free_file_space t f;
-            f.size <- 0;
-            meta_sync t cpu ~addr:f.meta_addr ~bytes:64);
-      Fd_table.alloc t.fds ~ino ~flags
-  | exception Types.Error (ENOENT, _) when flags.creat ->
-      let fd = create t cpu path in
-      Fd_table.close t.fds fd;
-      openf t cpu path { flags with creat = false }
-
-let close t cpu fd =
-  Cost.charge_syscall cpu;
-  Fd_table.close t.fds fd
-
-let file_size t fd = (find_file t (Fd_table.get t.fds fd).ino).size
-
-(* ------------------------------------------------------------------ *)
-(* Data path: in-place, durable at fsync (metadata-consistency class)  *)
-
 let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
   Cost.charge_syscall cpu;
-  let e = Fd_table.get t.fds fd in
+  let e = Fd_table.get t.ns.fds fd in
   if not e.flags.wr then Types.err EBADF "fd %d not writable" fd;
   let f = find_file t e.ino in
   if f.kind = Types.Directory then Types.err EISDIR "fd %d" fd;
@@ -536,12 +393,12 @@ let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
               let n = min (off + len - !cur) run in
               Device.write_nt t.dev cpu ~off:phys ~src:src_b
                 ~src_off:(src_off + (!cur - off)) ~len:n;
-              f.dirty_bytes <- f.dirty_bytes + n;
+              f.ext.dirty_bytes <- f.ext.dirty_bytes + n;
               cur := !cur + n
             done);
         if off + len > f.size then begin
           f.size <- off + len;
-          meta_buffered t cpu ~addr:f.meta_addr ~bytes:32
+          meta_buffered t cpu ~addr:f.ext.meta_addr ~bytes:32
         end);
     Counters.add t.counters "fs.write_bytes" len;
     len
@@ -551,12 +408,12 @@ let pwrite t cpu fd ~off ~src =
   pwrite_sub t cpu fd ~off ~src ~src_off:0 ~len:(String.length src)
 
 let append t cpu fd ~src =
-  let f = find_file t (Fd_table.get t.fds fd).ino in
+  let f = fd_file t fd in
   pwrite t cpu fd ~off:f.size ~src
 
 let pread t cpu fd ~off ~len =
   Cost.charge_syscall cpu;
-  let e = Fd_table.get t.fds fd in
+  let e = Fd_table.get t.ns.fds fd in
   if not e.flags.rd then Types.err EBADF "fd %d not readable" fd;
   let f = find_file t e.ino in
   if off < 0 || len < 0 then Types.err EINVAL "bad range";
@@ -584,32 +441,32 @@ let pread t cpu fd ~off ~len =
    file's dirty bytes. *)
 let fsync t cpu fd =
   Cost.charge_syscall cpu;
-  let f = find_file t (Fd_table.get t.fds fd).ino in
-  if f.dirty_bytes > 0 then begin
-    let lines = (f.dirty_bytes + Units.cacheline - 1) / Units.cacheline in
+  let f = fd_file t fd in
+  if f.ext.dirty_bytes > 0 then begin
+    let lines = (f.ext.dirty_bytes + Units.cacheline - 1) / Units.cacheline in
     Simclock.advance cpu.clock
       (int_of_float ((Device.cost t.dev).flush_ns *. float_of_int lines));
     Device.with_site t.dev site_fsync (fun () -> Device.fence t.dev cpu);
-    f.dirty_bytes <- 0
+    f.ext.dirty_bytes <- 0
   end;
   journal_fsync t cpu;
   Counters.incr t.counters "fs.fsync"
 
 let fallocate t cpu fd ~off ~len =
   Cost.charge_syscall cpu;
-  let f = find_file t (Fd_table.get t.fds fd).ino in
+  let f = fd_file t fd in
   if off < 0 || len <= 0 then Types.err EINVAL "bad range";
   Sched.with_lock f.lock (fun () ->
       ensure_backing t cpu f ~off ~len ~unwritten:(not t.preset.zero_on_fallocate);
       if off + len > f.size then begin
         f.size <- off + len;
-        meta_buffered t cpu ~addr:f.meta_addr ~bytes:32
+        meta_buffered t cpu ~addr:f.ext.meta_addr ~bytes:32
       end);
   Counters.incr t.counters "fs.fallocate"
 
 let ftruncate t cpu fd new_size =
   Cost.charge_syscall cpu;
-  let f = find_file t (Fd_table.get t.fds fd).ino in
+  let f = fd_file t fd in
   if new_size < 0 then Types.err EINVAL "negative size";
   Sched.with_lock f.lock (fun () ->
       if new_size < f.size then begin
@@ -620,15 +477,15 @@ let ftruncate t cpu fd new_size =
         end
       end;
       f.size <- new_size;
-      meta_sync t cpu ~addr:f.meta_addr ~bytes:64);
+      meta_sync t cpu ~addr:f.ext.meta_addr ~bytes:64);
   Counters.incr t.counters "fs.ftruncate"
 
 (* ------------------------------------------------------------------ *)
 (* mmap: hugepages only by accident (§2.5)                             *)
 
-let fault_zero t cpu f ~file_off ~phys ~len =
+let fault_zero t cpu (f : file) ~file_off ~phys ~len =
   (* ext4-class zeroing on first fault into an unwritten extent. *)
-  match f.unwritten with
+  match f.ext.unwritten with
   | None -> ()
   | Some unwritten ->
       if Extent_tree.extent_at unwritten ~off:file_off <> None then begin
@@ -639,7 +496,7 @@ let fault_zero t cpu f ~file_off ~phys ~len =
       end
 
 let mmap_backing t fd : Vmem.backing =
-  let ino = (Fd_table.get t.fds fd).ino in
+  let ino = (Fd_table.get t.ns.fds fd).ino in
   fun cpu ~file_off ~huge_ok ->
     let f = find_file t ino in
     if huge_ok then begin
@@ -703,23 +560,3 @@ let mmap_backing t fd : Vmem.backing =
               Vmem.Base phys
           | None -> Vmem.Sigbus)
     end
-
-let set_xattr_align t cpu _path _v = Cost.charge_syscall cpu; ignore t
-
-(* ------------------------------------------------------------------ *)
-(* Introspection                                                       *)
-
-let statfs t =
-  let free = Alloc.free_bytes t.alloc in
-  {
-    Types.capacity = t.data_len;
-    used = t.data_len - free;
-    free;
-    free_extents = Alloc.free_extent_count t.alloc;
-    largest_free = Alloc.largest_free t.alloc;
-    aligned_free_2m = Alloc.aligned_region_count t.alloc;
-  }
-
-let file_extents t cpu path =
-  let f = find_file t (resolve t cpu path) in
-  Block_map.extents f.bmap

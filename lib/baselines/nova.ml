@@ -20,8 +20,6 @@ module Device = Repro_pmem.Device
 module Vmem = Repro_memsim.Vmem
 module Sched = Repro_sched.Sched
 module Types = Repro_vfs.Types
-module Path = Repro_vfs.Path
-module Dir_index = Repro_vfs.Dir_index
 module Fd_table = Repro_vfs.Fd_table
 module Block_map = Repro_vfs.Block_map
 module Cost = Repro_vfs.Fs_intf.Cost
@@ -50,31 +48,20 @@ type log = {
   mutable dead : int;
 }
 
-type file = {
-  ino : int;
-  mutable kind : Types.file_kind;
-  mutable size : int;
-  mutable nlink : int;
-  bmap : Block_map.t;
-  log : log;
-  mutable dir : Dir_index.t option;
-  lock : Sched.mutex;
-  mutable dirty_bytes : int;
-}
+type ext = { log : log; mutable dirty_bytes : int }
+type file = ext Dram_namespace.inode
 
 type t = {
   dev : Device.t;
   cfg : Types.config;
   alloc : Alloc.t;
-  files : (int, file) Hashtbl.t;
-  fds : Fd_table.t;
+  ns : ext Dram_namespace.t;
   counters : Counters.t;
-  mutable next_ino : int;
   data_off : int;
   data_len : int;
 }
 
-let root_ino = 1
+let fresh_ext () = { log = { pages = []; tail = 0; live = 0; dead = 0 }; dirty_bytes = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Per-inode log                                                       *)
@@ -91,8 +78,8 @@ let alloc_block t cpu =
 
 (* Append one 64B entry to the inode log: write + persist the entry, then
    persist the 8B tail-pointer update — NOVA's commit protocol. *)
-let log_append t cpu f =
-  let lg = f.log in
+let log_append t cpu (f : file) =
+  let lg = f.ext.log in
   (if lg.pages = [] || lg.tail >= entries_per_page then begin
      let page = alloc_block t cpu in
      (* Link from the previous page (8B pointer write + persist). *)
@@ -121,10 +108,11 @@ let log_append t cpu f =
 (* Invalidating superseded entries is a PM write per entry (NOVA sets an
    invalid bit in the old entry and persists it) — part of why overwrites
    cost more on NOVA (§5.5). *)
-let log_invalidate t cpu f n =
-  f.log.live <- max 0 (f.log.live - n);
-  f.log.dead <- f.log.dead + n;
-  (match f.log.pages with
+let log_invalidate t cpu (f : file) n =
+  let lg = f.ext.log in
+  lg.live <- max 0 (lg.live - n);
+  lg.dead <- lg.dead + n;
+  (match lg.pages with
   | page :: _ ->
       Device.with_site t.dev site_log (fun () ->
           for _ = 1 to n do
@@ -137,8 +125,8 @@ let log_invalidate t cpu f n =
 (* Fast GC: when a log is mostly dead, copy live entries to fresh pages
    and free the old ones — free-space churn that competes with foreground
    work (§2.6). *)
-let maybe_gc t cpu f =
-  let lg = f.log in
+let maybe_gc t cpu (f : file) =
+  let lg = f.ext.log in
   let page_count = List.length lg.pages in
   if page_count > 4 && lg.dead > lg.live * 2 then begin
     let live_pages = max 1 ((lg.live + entries_per_page - 1) / entries_per_page) in
@@ -157,9 +145,9 @@ let maybe_gc t cpu f =
     Counters.incr t.counters "fs.log_gc"
   end
 
-let free_log t f =
-  List.iter (fun p -> Alloc.free t.alloc ~off:p ~len:block) f.log.pages;
-  f.log.pages <- []
+let free_log t (f : file) =
+  List.iter (fun p -> Alloc.free t.alloc ~off:p ~len:block) f.ext.log.pages;
+  f.ext.log.pages <- []
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -185,90 +173,68 @@ let format dev (cfg : Types.config) =
       normalize_pow2 = false;
     }
   in
-  let t =
-    {
-      dev;
-      cfg;
-      alloc = Alloc.create alloc_cfg ~cpus:cfg.cpus ~regions;
-      files = Hashtbl.create 1024;
-      fds = Fd_table.create ();
-      counters = Counters.create ();
-      next_ino = root_ino;
-      data_off;
-      data_len;
-    }
-  in
-  let root =
-    {
-      ino = root_ino;
-      kind = Types.Directory;
-      size = 0;
-      nlink = 2;
-      bmap = Block_map.create ();
-      log = { pages = []; tail = 0; live = 0; dead = 0 };
-      dir = Some (Dir_index.create Dram_rbtree);
-      lock = Sched.create_mutex ();
-      dirty_bytes = 0;
-    }
-  in
-  Hashtbl.replace t.files root_ino root;
-  t.next_ino <- 2;
-  t
-
-let mount _dev _cfg =
-  Types.err EINVAL "baseline models do not support mount-from-image (see DESIGN.md)"
+  {
+    dev;
+    cfg;
+    alloc = Alloc.create alloc_cfg ~cpus:cfg.cpus ~regions;
+    ns = Dram_namespace.create Dram_rbtree ~root:(fresh_ext ());
+    counters = Counters.create ();
+    data_off;
+    data_len;
+  }
 
 let unmount _t _cpu = ()
-let recovery_ns _ = 0
 let device t = t.dev
 let config t = t.cfg
 let counters t = t.counters
 
-let find_file t ino =
-  match Hashtbl.find_opt t.files ino with
-  | Some f -> f
-  | None -> Types.err EBADF "stale inode %d" ino
+(* ------------------------------------------------------------------ *)
+(* Namespace: dentry entries appended to the parent directory's log
+   before each index update                                            *)
 
-let new_file t kind =
-  let ino = t.next_ino in
-  t.next_ino <- t.next_ino + 1;
-  let f =
-    {
-      ino;
-      kind;
-      size = 0;
-      nlink = (if kind = Types.Directory then 2 else 1);
-      bmap = Block_map.create ();
-      log = { pages = []; tail = 0; live = 0; dead = 0 };
-      dir = (if kind = Types.Directory then Some (Dir_index.create Dram_rbtree) else None);
-      lock = Sched.create_mutex ();
-      dirty_bytes = 0;
-    }
-  in
-  Hashtbl.replace t.files ino f;
-  f
+include Dram_namespace.Make (struct
+  type fs = t
+  type nonrec ext = ext
 
-let resolve t cpu path =
-  let parts = Path.split path in
-  let rec walk ino = function
-    | [] -> ino
-    | name :: rest -> (
-        let f = find_file t ino in
-        match f.dir with
-        | None -> Types.err ENOTDIR "%s" path
-        | Some idx -> (
-            match Dir_index.lookup idx cpu name with
-            | Some (child, _) -> walk child rest
-            | None -> Types.err ENOENT "%s" path))
-  in
-  walk root_ino parts
+  let ns t = t.ns
+  let counters = counters
+  let alloc t = t.alloc
+  let capacity t = t.data_len
+  let new_ext _ _ = fresh_ext ()
+  let slot = Dram_namespace.Before_index
 
-let resolve_parent t cpu path =
-  let dir = Path.dirname path and name = Path.basename path in
-  let ino = resolve t cpu dir in
-  let f = find_file t ino in
-  if f.kind <> Types.Directory then Types.err ENOTDIR "%s" dir;
-  (f, name)
+  let persist t cpu : ext Dram_namespace.update -> unit = function
+    | Link { dir; child } ->
+        log_append t cpu child (* inode-init entry *);
+        log_append t cpu dir (* dentry entry *)
+    | Unlink { dir; _ } ->
+        log_append t cpu dir (* delete-dentry entry *);
+        log_invalidate t cpu dir 1;
+        maybe_gc t cpu dir
+    | Rmdir { dir; _ } ->
+        log_append t cpu dir;
+        log_invalidate t cpu dir 1
+    | Rename { src_dir; dst_dir } ->
+        (* NOVA journals renames across the two inode logs with a small
+           dedicated journal; model as two log appends. *)
+        log_append t cpu src_dir;
+        log_append t cpu dst_dir;
+        log_invalidate t cpu src_dir 1
+
+  let release t f =
+    Dram_namespace.free_data t.alloc f;
+    free_log t f
+
+  (* O_TRUNC frees the data but keeps the inode log. *)
+  let truncate t cpu (f : file) =
+    Sched.with_lock f.lock (fun () ->
+        Dram_namespace.free_data t.alloc f;
+        f.size <- 0;
+        log_append t cpu f)
+
+  let size _ (f : file) = f.size
+  let extra_blocks (f : file) = List.length f.ext.log.pages * block
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
@@ -278,7 +244,7 @@ let allocate t cpu ~len =
   | Some exts -> exts
   | None -> Types.err ENOSPC "allocating %d bytes" len
 
-let ensure_backing t cpu f ~off ~len ~zero =
+let ensure_backing t cpu (f : file) ~off ~len ~zero =
   let lo = Units.round_down off block and hi = Units.round_up (off + len) block in
   let cur = ref lo in
   while !cur < hi do
@@ -306,170 +272,6 @@ let ensure_backing t cpu f ~off ~len ~zero =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Namespace: dentry entries appended to the parent directory's log    *)
-
-let mkdir t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      if Dir_index.mem idx cpu name then Types.err EEXIST "%s" path;
-      let f = new_file t Types.Directory in
-      log_append t cpu f (* inode-init entry *);
-      log_append t cpu parent (* dentry entry *);
-      Dir_index.add idx cpu ~name ~ino:f.ino ~slot:0;
-      parent.nlink <- parent.nlink + 1);
-  Counters.incr t.counters "fs.mkdir"
-
-let create t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  let f =
-    Sched.with_lock parent.lock (fun () ->
-        let idx = Option.get parent.dir in
-        if Dir_index.mem idx cpu name then Types.err EEXIST "%s" path;
-        let f = new_file t Types.Regular in
-        log_append t cpu f;
-        log_append t cpu parent;
-        Dir_index.add idx cpu ~name ~ino:f.ino ~slot:0;
-        f)
-  in
-  Counters.incr t.counters "fs.create";
-  Fd_table.alloc t.fds ~ino:f.ino ~flags:Types.o_creat_rdwr
-
-let free_file_space t f =
-  List.iter (fun (_, phys, len) -> Alloc.free t.alloc ~off:phys ~len) (Block_map.extents f.bmap);
-  Block_map.clear f.bmap;
-  free_log t f
-
-let unlink t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      match Dir_index.lookup idx cpu name with
-      | None -> Types.err ENOENT "%s" path
-      | Some (ino, _) ->
-          let f = find_file t ino in
-          if f.kind = Types.Directory then Types.err EISDIR "%s" path;
-          log_append t cpu parent (* delete-dentry entry *);
-          log_invalidate t cpu parent 1;
-          maybe_gc t cpu parent;
-          Dir_index.remove idx cpu name;
-          f.nlink <- f.nlink - 1;
-          if f.nlink = 0 then
-            Sched.with_lock f.lock (fun () ->
-                free_file_space t f;
-                Hashtbl.remove t.files ino));
-  Counters.incr t.counters "fs.unlink"
-
-let rmdir t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      match Dir_index.lookup idx cpu name with
-      | None -> Types.err ENOENT "%s" path
-      | Some (ino, _) ->
-          let f = find_file t ino in
-          if f.kind <> Types.Directory then Types.err ENOTDIR "%s" path;
-          if Dir_index.size (Option.get f.dir) > 0 then Types.err ENOTEMPTY "%s" path;
-          log_append t cpu parent;
-          log_invalidate t cpu parent 1;
-          Dir_index.remove idx cpu name;
-          parent.nlink <- parent.nlink - 1;
-          free_file_space t f;
-          Hashtbl.remove t.files ino);
-  Counters.incr t.counters "fs.rmdir"
-
-let rename t cpu ~old_path ~new_path =
-  Cost.charge_syscall cpu;
-  let src_parent, src_name = resolve_parent t cpu old_path in
-  let dst_parent, dst_name = resolve_parent t cpu new_path in
-  let locks =
-    if src_parent.ino = dst_parent.ino then [ src_parent.lock ]
-    else if src_parent.ino < dst_parent.ino then [ src_parent.lock; dst_parent.lock ]
-    else [ dst_parent.lock; src_parent.lock ]
-  in
-  List.iter Sched.lock locks;
-  Fun.protect
-    ~finally:(fun () -> List.iter Sched.unlock (List.rev locks))
-    (fun () ->
-      let src_idx = Option.get src_parent.dir and dst_idx = Option.get dst_parent.dir in
-      match Dir_index.lookup src_idx cpu src_name with
-      | None -> Types.err ENOENT "%s" old_path
-      | Some (ino, _) ->
-          (match Dir_index.lookup dst_idx cpu dst_name with
-          | Some (victim_ino, _) when victim_ino <> ino ->
-              let victim = find_file t victim_ino in
-              if victim.kind = Types.Directory then Types.err EISDIR "%s" new_path;
-              Dir_index.remove dst_idx cpu dst_name;
-              Sched.with_lock victim.lock (fun () ->
-                  free_file_space t victim;
-                  Hashtbl.remove t.files victim_ino)
-          | _ -> ());
-          (* NOVA journals renames across the two inode logs with a small
-             dedicated journal; model as two log appends. *)
-          log_append t cpu src_parent;
-          log_append t cpu dst_parent;
-          log_invalidate t cpu src_parent 1;
-          Dir_index.remove src_idx cpu src_name;
-          Dir_index.add dst_idx cpu ~name:dst_name ~ino ~slot:0);
-  Counters.incr t.counters "fs.rename"
-
-let readdir t cpu path =
-  Cost.charge_syscall cpu;
-  let f = find_file t (resolve t cpu path) in
-  match f.dir with
-  | None -> Types.err ENOTDIR "%s" path
-  | Some idx ->
-      Simclock.advance cpu.clock (Dir_index.size idx * 12);
-      List.map fst (Dir_index.entries idx)
-
-let stat t cpu path =
-  Cost.charge_syscall cpu;
-  let f = find_file t (resolve t cpu path) in
-  {
-    Types.st_ino = f.ino;
-    st_kind = f.kind;
-    st_size = f.size;
-    st_blocks = Block_map.mapped_bytes f.bmap + (List.length f.log.pages * block);
-    st_nlink = f.nlink;
-  }
-
-let exists t cpu path =
-  match resolve t cpu path with
-  | _ -> true
-  | exception Types.Error ((ENOENT | ENOTDIR), _) -> false
-
-let rec openf t cpu path (flags : Types.open_flags) =
-  Cost.charge_syscall cpu;
-  match resolve t cpu path with
-  | ino ->
-      if flags.creat && flags.excl then Types.err EEXIST "%s" path;
-      let f = find_file t ino in
-      if f.kind = Types.Directory && flags.wr then Types.err EISDIR "%s" path;
-      if flags.trunc && f.kind = Types.Regular && f.size > 0 then
-        Sched.with_lock f.lock (fun () ->
-            List.iter
-              (fun (_, phys, len) -> Alloc.free t.alloc ~off:phys ~len)
-              (Block_map.extents f.bmap);
-            Block_map.clear f.bmap;
-            f.size <- 0;
-            log_append t cpu f);
-      Fd_table.alloc t.fds ~ino ~flags
-  | exception Types.Error (ENOENT, _) when flags.creat ->
-      let fd = create t cpu path in
-      Fd_table.close t.fds fd;
-      openf t cpu path { flags with creat = false }
-
-let close t cpu fd =
-  Cost.charge_syscall cpu;
-  Fd_table.close t.fds fd
-
-let file_size t fd = (find_file t (Fd_table.get t.fds fd).ino).size
-
-(* ------------------------------------------------------------------ *)
 (* Data path                                                           *)
 
 let strict t = t.cfg.mode = Types.Strict
@@ -478,7 +280,7 @@ let strict t = t.cfg.mode = Types.Strict
    tail blocks are copied into the fresh blocks before overlaying new
    data — the write amplification the paper observes on WiredTiger
    appends (§5.5). *)
-let write_cow t cpu f ~off ~src ~src_off ~len =
+let write_cow t cpu (f : file) ~off ~src ~src_off ~len =
   let blo = Units.round_down off block and bhi = Units.round_up (off + len) block in
   let cow_len = bhi - blo in
   let exts = allocate t cpu ~len:cow_len in
@@ -530,7 +332,7 @@ let write_cow t cpu f ~off ~src ~src_off ~len =
 
 let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
   Cost.charge_syscall cpu;
-  let e = Fd_table.get t.fds fd in
+  let e = Fd_table.get t.ns.fds fd in
   if not e.flags.wr then Types.err EBADF "fd %d not writable" fd;
   let f = find_file t e.ino in
   if f.kind = Types.Directory then Types.err EISDIR "fd %d" fd;
@@ -551,7 +353,7 @@ let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
                 let n = min (off + len - !cur) run in
                 Device.write_nt t.dev cpu ~off:phys ~src:src_b
                   ~src_off:(src_off + (!cur - off)) ~len:n;
-                f.dirty_bytes <- f.dirty_bytes + n;
+                f.ext.dirty_bytes <- f.ext.dirty_bytes + n;
                 cur := !cur + n
               done);
           log_append t cpu f
@@ -565,12 +367,12 @@ let pwrite t cpu fd ~off ~src =
   pwrite_sub t cpu fd ~off ~src ~src_off:0 ~len:(String.length src)
 
 let append t cpu fd ~src =
-  let f = find_file t (Fd_table.get t.fds fd).ino in
+  let f = fd_file t fd in
   pwrite t cpu fd ~off:f.size ~src
 
 let pread t cpu fd ~off ~len =
   Cost.charge_syscall cpu;
-  let e = Fd_table.get t.fds fd in
+  let e = Fd_table.get t.ns.fds fd in
   if not e.flags.rd then Types.err EBADF "fd %d not readable" fd;
   let f = find_file t e.ino in
   if off < 0 || len < 0 then Types.err EINVAL "bad range";
@@ -596,19 +398,19 @@ let pread t cpu fd ~off ~len =
 
 let fsync t cpu fd =
   Cost.charge_syscall cpu;
-  let f = find_file t (Fd_table.get t.fds fd).ino in
-  if (not (strict t)) && f.dirty_bytes > 0 then begin
-    let lines = (f.dirty_bytes + Units.cacheline - 1) / Units.cacheline in
+  let f = fd_file t fd in
+  if (not (strict t)) && f.ext.dirty_bytes > 0 then begin
+    let lines = (f.ext.dirty_bytes + Units.cacheline - 1) / Units.cacheline in
     Simclock.advance cpu.clock
       (int_of_float ((Device.cost t.dev).flush_ns *. float_of_int lines));
     Device.with_site t.dev site_fsync (fun () -> Device.fence t.dev cpu);
-    f.dirty_bytes <- 0
+    f.ext.dirty_bytes <- 0
   end;
   Counters.incr t.counters "fs.fsync"
 
 let fallocate t cpu fd ~off ~len =
   Cost.charge_syscall cpu;
-  let f = find_file t (Fd_table.get t.fds fd).ino in
+  let f = fd_file t fd in
   if off < 0 || len <= 0 then Types.err EINVAL "bad range";
   Sched.with_lock f.lock (fun () ->
       (* NOVA zeroes at fallocate; faults then only build page tables. *)
@@ -618,7 +420,7 @@ let fallocate t cpu fd ~off ~len =
 
 let ftruncate t cpu fd new_size =
   Cost.charge_syscall cpu;
-  let f = find_file t (Fd_table.get t.fds fd).ino in
+  let f = fd_file t fd in
   if new_size < 0 then Types.err EINVAL "negative size";
   Sched.with_lock f.lock (fun () ->
       if new_size < f.size then begin
@@ -637,7 +439,7 @@ let ftruncate t cpu fd new_size =
 (* mmap: hugepage only when an extent happens to be 2MB-aligned        *)
 
 let mmap_backing t fd : Vmem.backing =
-  let ino = (Fd_table.get t.fds fd).ino in
+  let ino = (Fd_table.get t.ns.fds fd).ino in
   fun cpu ~file_off ~huge_ok ->
     let f = find_file t ino in
     let fault_alloc len =
@@ -659,20 +461,3 @@ let mmap_backing t fd : Vmem.backing =
       | Some (phys, _) -> Vmem.Base phys
       | None -> Vmem.Sigbus
     end
-
-let set_xattr_align _t cpu _path _v = Cost.charge_syscall cpu
-
-let statfs t =
-  let free = Alloc.free_bytes t.alloc in
-  {
-    Types.capacity = t.data_len;
-    used = t.data_len - free;
-    free;
-    free_extents = Alloc.free_extent_count t.alloc;
-    largest_free = Alloc.largest_free t.alloc;
-    aligned_free_2m = Alloc.aligned_region_count t.alloc;
-  }
-
-let file_extents t cpu path =
-  let f = find_file t (resolve t cpu path) in
-  Block_map.extents f.bmap

@@ -14,9 +14,20 @@
 module Fs_intf = Repro_vfs.Fs_intf
 module Types = Repro_vfs.Types
 
-module Ext4 : Fs_intf.S = Ext4_dax
-module Xfs : Fs_intf.S = Xfs_dax
-module Pmfs_fs : Fs_intf.S = Pmfs
+(* A Basefs preset as a file system: the engine's operations under the
+   preset's name and format. *)
+module Of_preset (P : sig
+  val preset : Basefs.preset
+end) : Fs_intf.S with type t = Basefs.t = struct
+  include Basefs
+
+  let name = P.preset.label
+  let format = format P.preset
+end
+
+module Ext4_dax = Of_preset (struct let preset = Basefs.ext4_dax end)
+module Xfs_dax = Of_preset (struct let preset = Basefs.xfs_dax end)
+module Pmfs = Of_preset (struct let preset = Basefs.pmfs end)
 module Nova_fs : Fs_intf.S = Nova
 module Splitfs_fs : Fs_intf.S = Splitfs
 module Strata_fs : Fs_intf.S = Strata

@@ -7,6 +7,12 @@
     contract its system ships with (ext4/xfs/PMFS/SplitFS metadata-only,
     NOVA and Strata full data+metadata). *)
 
+module Of_preset (P : sig
+  val preset : Basefs.preset
+end) : Repro_vfs.Fs_intf.S with type t = Basefs.t
+(** The file system a {!Basefs} preset describes: the engine under the
+    preset's name and [format]. *)
+
 type factory = {
   fs_name : string;
   make : Repro_pmem.Device.t -> Repro_vfs.Types.config -> Repro_vfs.Fs_intf.handle;

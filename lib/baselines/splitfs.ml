@@ -34,10 +34,9 @@ type staged = {
 
 type t = { inner : Basefs.t; staging : (int, staged) Hashtbl.t }
 
-let format dev cfg = { inner = Ext4_dax.format dev cfg; staging = Hashtbl.create 64 }
+let format dev cfg = { inner = Basefs.format Basefs.ext4_dax dev cfg; staging = Hashtbl.create 64 }
 
-let mount _dev _cfg =
-  Types.err EINVAL "baseline models do not support mount-from-image (see DESIGN.md)"
+let mount dev cfg = { inner = Basefs.mount dev cfg; staging = Hashtbl.create 0 }
 
 let unmount t cpu = Basefs.unmount t.inner cpu
 let recovery_ns _ = 0
@@ -72,7 +71,7 @@ let staged_for t ino =
 let staged_size s = s.s_size
 
 let file_size t fd =
-  let ino = (Fd_table.get t.inner.Basefs.fds fd).ino in
+  let ino = (Fd_table.get t.inner.Basefs.ns.fds fd).ino in
   let base = Basefs.file_size t.inner fd in
   match Hashtbl.find_opt t.staging ino with
   | Some s -> max base (staged_size s)
@@ -101,20 +100,20 @@ let stat t cpu path =
 (* Overwrites within the committed size bypass the kernel entirely (mmap
    path: no syscall charge).  Writes past EOF are staged appends. *)
 let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
-  let e = Fd_table.get t.inner.Basefs.fds fd in
+  let e = Fd_table.get t.inner.Basefs.ns.fds fd in
   if not e.flags.wr then Types.err EBADF "fd %d not writable" fd;
   let f = Basefs.find_file t.inner e.ino in
   if src_off < 0 || len < 0 || src_off + len > String.length src then
     Types.err EINVAL "pwrite_sub outside src bounds";
   if len = 0 then 0
-  else if off + len <= f.Basefs.size && Block_map.covered f.Basefs.bmap ~file_off:off ~len
+  else if off + len <= f.Dram_namespace.size && Block_map.covered f.Dram_namespace.bmap ~file_off:off ~len
   then begin
     (* User-space overwrite through the file's mmap. *)
     let src_b = Bytes.unsafe_of_string src in
     Device.with_site (dev_of t) site_mmap (fun () ->
         let cur = ref off in
         while !cur < off + len do
-          let phys, run = Option.get (Block_map.lookup f.Basefs.bmap ~file_off:!cur) in
+          let phys, run = Option.get (Block_map.lookup f.Dram_namespace.bmap ~file_off:!cur) in
           let n = min (off + len - !cur) run in
           Device.write_nt (dev_of t) cpu ~off:phys ~src:src_b
             ~src_off:(src_off + (!cur - off)) ~len:n;
@@ -159,7 +158,7 @@ let pwrite t cpu fd ~off ~src =
 let append t cpu fd ~src = pwrite t cpu fd ~off:(file_size t fd) ~src
 
 let pread t cpu fd ~off ~len =
-  let e = Fd_table.get t.inner.Basefs.fds fd in
+  let e = Fd_table.get t.inner.Basefs.ns.fds fd in
   let ino = e.ino in
   match Hashtbl.find_opt t.staging ino with
   | None | Some { sbytes = 0; _ } ->
@@ -188,7 +187,7 @@ let pread t cpu fd ~off ~len =
                 | None -> off + len
               in
               let f = Basefs.find_file t.inner ino in
-              match Block_map.lookup f.Basefs.bmap ~file_off:!cur with
+              match Block_map.lookup f.Dram_namespace.bmap ~file_off:!cur with
               | Some (phys, run) ->
                   let n = min (limit - !cur) run in
                   Device.read (dev_of t) cpu ~off:phys ~len:n ~dst ~dst_off:(!cur - off);
@@ -201,23 +200,23 @@ let pread t cpu fd ~off ~len =
 (* fsync: the relink — staged extents become file extents via one ext4
    journal transaction; no data copy. *)
 let fsync t cpu fd =
-  let e = Fd_table.get t.inner.Basefs.fds fd in
+  let e = Fd_table.get t.inner.Basefs.ns.fds fd in
   (match Hashtbl.find_opt t.staging e.ino with
   | Some s when Block_map.extents s.smap <> [] ->
       let f = Basefs.find_file t.inner e.ino in
       List.iter
         (fun (fo, phys, len) ->
-          let clobbered = Block_map.remove_range f.Basefs.bmap ~file_off:fo ~len in
+          let clobbered = Block_map.remove_range f.Dram_namespace.bmap ~file_off:fo ~len in
           List.iter (fun (o, l) -> Alloc.free t.inner.Basefs.alloc ~off:o ~len:l) clobbered;
-          Block_map.insert f.Basefs.bmap ~file_off:fo ~phys ~len)
+          Block_map.insert f.Dram_namespace.bmap ~file_off:fo ~phys ~len)
         (Block_map.extents s.smap);
-      let new_size = max f.Basefs.size (staged_size s) in
-      f.Basefs.size <- new_size;
+      let new_size = max f.Dram_namespace.size (staged_size s) in
+      f.Dram_namespace.size <- new_size;
       Block_map.clear s.smap;
       s.sbytes <- 0;
       s.s_size <- 0;
       (* One metadata journal transaction on the ext4 journal. *)
-      Basefs.meta_sync t.inner cpu ~addr:f.Basefs.meta_addr ~bytes:128
+      Basefs.meta_sync t.inner cpu ~addr:f.ext.Basefs.meta_addr ~bytes:128
   | _ -> ());
   Basefs.fsync t.inner cpu fd
 

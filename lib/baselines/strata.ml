@@ -15,8 +15,6 @@ module Device = Repro_pmem.Device
 module Vmem = Repro_memsim.Vmem
 module Sched = Repro_sched.Sched
 module Types = Repro_vfs.Types
-module Path = Repro_vfs.Path
-module Dir_index = Repro_vfs.Dir_index
 module Fd_table = Repro_vfs.Fd_table
 module Block_map = Repro_vfs.Block_map
 module Cost = Repro_vfs.Fs_intf.Cost
@@ -45,30 +43,20 @@ type plog = {
   mutable entries : pending_write list; (* newest first *)
 }
 
-type file = {
-  ino : int;
-  mutable kind : Types.file_kind;
-  mutable size : int;
-  mutable nlink : int;
-  bmap : Block_map.t; (* shared-area extents (digested) *)
-  mutable dir : Dir_index.t option;
-  lock : Sched.mutex;
-}
+(* A file's [bmap] holds its shared-area (digested) extents; Strata
+   keeps no per-inode state of its own. *)
+type file = unit Dram_namespace.inode
 
 type t = {
   dev : Device.t;
   cfg : Types.config;
   alloc : Alloc.t;
   logs : plog array; (* one per CPU ("process") *)
-  files : (int, file) Hashtbl.t;
-  fds : Fd_table.t;
+  ns : unit Dram_namespace.t;
   counters : Counters.t;
-  mutable next_ino : int;
   data_off : int;
   data_len : int;
 }
-
-let root_ino = 1
 
 let format dev (cfg : Types.config) =
   let size = Device.size dev in
@@ -80,49 +68,22 @@ let format dev (cfg : Types.config) =
   let alloc_cfg =
     { Alloc.per_cpu = false; policy = Alloc.Best_fit; align_exact_2m = false; normalize_pow2 = false }
   in
-  let t =
-    {
-      dev;
-      cfg;
-      alloc = Alloc.create alloc_cfg ~cpus:1 ~regions:[| (data_off, data_len) |];
-      logs =
-        Array.init cfg.cpus (fun i ->
-            { base = 4096 + (i * log_size); size = log_size; head = 0; entries = [] });
-      files = Hashtbl.create 1024;
-      fds = Fd_table.create ();
-      counters = Counters.create ();
-      next_ino = root_ino;
-      data_off;
-      data_len;
-    }
-  in
-  let root =
-    {
-      ino = root_ino;
-      kind = Types.Directory;
-      size = 0;
-      nlink = 2;
-      bmap = Block_map.create ();
-      dir = Some (Dir_index.create Dram_rbtree);
-      lock = Sched.create_mutex ();
-    }
-  in
-  Hashtbl.replace t.files root_ino root;
-  t.next_ino <- 2;
-  t
+  {
+    dev;
+    cfg;
+    alloc = Alloc.create alloc_cfg ~cpus:1 ~regions:[| (data_off, data_len) |];
+    logs =
+      Array.init cfg.cpus (fun i ->
+          { base = 4096 + (i * log_size); size = log_size; head = 0; entries = [] });
+    ns = Dram_namespace.create Dram_rbtree ~root:();
+    counters = Counters.create ();
+    data_off;
+    data_len;
+  }
 
-let mount _dev _cfg =
-  Types.err EINVAL "baseline models do not support mount-from-image (see DESIGN.md)"
-
-let recovery_ns _ = 0
 let device t = t.dev
 let config t = t.cfg
 let counters t = t.counters
-
-let find_file t ino =
-  match Hashtbl.find_opt t.files ino with
-  | Some f -> f
-  | None -> Types.err EBADF "stale inode %d" ino
 
 let log_of t (cpu : Cpu.t) = t.logs.(cpu.id mod t.cfg.cpus)
 
@@ -145,7 +106,7 @@ let digest t cpu lg =
   lg.head <- 0;
   List.iter
     (fun p ->
-      match Hashtbl.find_opt t.files p.p_ino with
+      match Hashtbl.find_opt t.ns.files p.p_ino with
       | None -> () (* file deleted before digestion *)
       | Some f ->
           let blo = Units.round_down p.p_off block in
@@ -212,161 +173,10 @@ let digest_all t cpu = Array.iter (fun lg -> if lg.entries <> [] then digest t c
 
 let unmount t cpu = digest_all t cpu
 
-(* ------------------------------------------------------------------ *)
-(* Namespace (metadata ops log-append + DRAM)                          *)
-
-let resolve t cpu path =
-  let parts = Path.split path in
-  let rec walk ino = function
-    | [] -> ino
-    | name :: rest -> (
-        let f = find_file t ino in
-        match f.dir with
-        | None -> Types.err ENOTDIR "%s" path
-        | Some idx -> (
-            match Dir_index.lookup idx cpu name with
-            | Some (child, _) -> walk child rest
-            | None -> Types.err ENOENT "%s" path))
-  in
-  walk root_ino parts
-
-let resolve_parent t cpu path =
-  let dir = Path.dirname path and name = Path.basename path in
-  let ino = resolve t cpu dir in
-  let f = find_file t ino in
-  if f.kind <> Types.Directory then Types.err ENOTDIR "%s" dir;
-  (f, name)
-
-let new_file t kind =
-  let ino = t.next_ino in
-  t.next_ino <- t.next_ino + 1;
-  let f =
-    {
-      ino;
-      kind;
-      size = 0;
-      nlink = (if kind = Types.Directory then 2 else 1);
-      bmap = Block_map.create ();
-      dir = (if kind = Types.Directory then Some (Dir_index.create Dram_rbtree) else None);
-      lock = Sched.create_mutex ();
-    }
-  in
-  Hashtbl.replace t.files ino f;
-  f
-
-let mkdir t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      if Dir_index.mem idx cpu name then Types.err EEXIST "%s" path;
-      let f = new_file t Types.Directory in
-      log_meta t cpu;
-      Dir_index.add idx cpu ~name ~ino:f.ino ~slot:0;
-      parent.nlink <- parent.nlink + 1);
-  Counters.incr t.counters "fs.mkdir"
-
-let create t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  let f =
-    Sched.with_lock parent.lock (fun () ->
-        let idx = Option.get parent.dir in
-        if Dir_index.mem idx cpu name then Types.err EEXIST "%s" path;
-        let f = new_file t Types.Regular in
-        log_meta t cpu;
-        Dir_index.add idx cpu ~name ~ino:f.ino ~slot:0;
-        f)
-  in
-  Counters.incr t.counters "fs.create";
-  Fd_table.alloc t.fds ~ino:f.ino ~flags:Types.o_creat_rdwr
-
-let free_file_space t f =
-  List.iter (fun (_, phys, len) -> Alloc.free t.alloc ~off:phys ~len) (Block_map.extents f.bmap);
-  Block_map.clear f.bmap
-
 let drop_pending t ino =
   Array.iter
     (fun lg -> lg.entries <- List.filter (fun p -> p.p_ino <> ino) lg.entries)
     t.logs
-
-let unlink t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      match Dir_index.lookup idx cpu name with
-      | None -> Types.err ENOENT "%s" path
-      | Some (ino, _) ->
-          let f = find_file t ino in
-          if f.kind = Types.Directory then Types.err EISDIR "%s" path;
-          log_meta t cpu;
-          Dir_index.remove idx cpu name;
-          f.nlink <- f.nlink - 1;
-          if f.nlink = 0 then
-            Sched.with_lock f.lock (fun () ->
-                drop_pending t ino;
-                free_file_space t f;
-                Hashtbl.remove t.files ino));
-  Counters.incr t.counters "fs.unlink"
-
-let rmdir t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      match Dir_index.lookup idx cpu name with
-      | None -> Types.err ENOENT "%s" path
-      | Some (ino, _) ->
-          let f = find_file t ino in
-          if f.kind <> Types.Directory then Types.err ENOTDIR "%s" path;
-          if Dir_index.size (Option.get f.dir) > 0 then Types.err ENOTEMPTY "%s" path;
-          log_meta t cpu;
-          Dir_index.remove idx cpu name;
-          parent.nlink <- parent.nlink - 1;
-          Hashtbl.remove t.files ino);
-  Counters.incr t.counters "fs.rmdir"
-
-let rename t cpu ~old_path ~new_path =
-  Cost.charge_syscall cpu;
-  let src_parent, src_name = resolve_parent t cpu old_path in
-  let dst_parent, dst_name = resolve_parent t cpu new_path in
-  let locks =
-    if src_parent.ino = dst_parent.ino then [ src_parent.lock ]
-    else if src_parent.ino < dst_parent.ino then [ src_parent.lock; dst_parent.lock ]
-    else [ dst_parent.lock; src_parent.lock ]
-  in
-  List.iter Sched.lock locks;
-  Fun.protect
-    ~finally:(fun () -> List.iter Sched.unlock (List.rev locks))
-    (fun () ->
-      let src_idx = Option.get src_parent.dir and dst_idx = Option.get dst_parent.dir in
-      match Dir_index.lookup src_idx cpu src_name with
-      | None -> Types.err ENOENT "%s" old_path
-      | Some (ino, _) ->
-          (match Dir_index.lookup dst_idx cpu dst_name with
-          | Some (victim_ino, _) when victim_ino <> ino ->
-              let victim = find_file t victim_ino in
-              if victim.kind = Types.Directory then Types.err EISDIR "%s" new_path;
-              Dir_index.remove dst_idx cpu dst_name;
-              Sched.with_lock victim.lock (fun () ->
-                  drop_pending t victim_ino;
-                  free_file_space t victim;
-                  Hashtbl.remove t.files victim_ino)
-          | _ -> ());
-          log_meta t cpu;
-          Dir_index.remove src_idx cpu src_name;
-          Dir_index.add dst_idx cpu ~name:dst_name ~ino ~slot:0);
-  Counters.incr t.counters "fs.rename"
-
-let readdir t cpu path =
-  Cost.charge_syscall cpu;
-  let f = find_file t (resolve t cpu path) in
-  match f.dir with
-  | None -> Types.err ENOTDIR "%s" path
-  | Some idx ->
-      Simclock.advance cpu.clock (Dir_index.size idx * 12);
-      List.map fst (Dir_index.entries idx)
 
 let pending_size t ino =
   Array.fold_left
@@ -376,55 +186,42 @@ let pending_size t ino =
         acc lg.entries)
     0 t.logs
 
-let stat t cpu path =
-  Cost.charge_syscall cpu;
-  let f = find_file t (resolve t cpu path) in
-  {
-    Types.st_ino = f.ino;
-    st_kind = f.kind;
-    st_size = max f.size (pending_size t f.ino);
-    st_blocks = Block_map.mapped_bytes f.bmap;
-    st_nlink = f.nlink;
-  }
+(* ------------------------------------------------------------------ *)
+(* Namespace: a metadata record appended to the process log before each
+   index update                                                        *)
 
-let exists t cpu path =
-  match resolve t cpu path with
-  | _ -> true
-  | exception Types.Error ((ENOENT | ENOTDIR), _) -> false
+include Dram_namespace.Make (struct
+  type fs = t
+  type ext = unit
 
-let rec openf t cpu path (flags : Types.open_flags) =
-  Cost.charge_syscall cpu;
-  match resolve t cpu path with
-  | ino ->
-      if flags.creat && flags.excl then Types.err EEXIST "%s" path;
-      let f = find_file t ino in
-      if f.kind = Types.Directory && flags.wr then Types.err EISDIR "%s" path;
-      if flags.trunc && f.kind = Types.Regular && f.size > 0 then begin
-        drop_pending t ino;
-        free_file_space t f;
-        f.size <- 0;
-        log_meta t cpu
-      end;
-      Fd_table.alloc t.fds ~ino ~flags
-  | exception Types.Error (ENOENT, _) when flags.creat ->
-      let fd = create t cpu path in
-      Fd_table.close t.fds fd;
-      openf t cpu path { flags with creat = false }
+  let ns t = t.ns
+  let counters = counters
+  let alloc t = t.alloc
+  let capacity t = t.data_len
+  let new_ext _ _ = ()
+  let slot = Dram_namespace.Before_index
+  let persist t cpu _ = log_meta t cpu
 
-let close t cpu fd =
-  Cost.charge_syscall cpu;
-  Fd_table.close t.fds fd
+  let release t (f : file) =
+    drop_pending t f.ino;
+    Dram_namespace.free_data t.alloc f
 
-let file_size t fd =
-  let ino = (Fd_table.get t.fds fd).ino in
-  max (find_file t ino).size (pending_size t ino)
+  (* O_TRUNC takes no inode lock. *)
+  let truncate t cpu (f : file) =
+    release t f;
+    f.size <- 0;
+    log_meta t cpu
+
+  let size t (f : file) = max f.size (pending_size t f.ino)
+  let extra_blocks _ = 0
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Data: log-append writes, digestion on pressure                      *)
 
 let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
   Cost.charge_syscall cpu;
-  let e = Fd_table.get t.fds fd in
+  let e = Fd_table.get t.ns.fds fd in
   if not e.flags.wr then Types.err EBADF "fd %d not writable" fd;
   let f = find_file t e.ino in
   if f.kind = Types.Directory then Types.err EISDIR "fd %d" fd;
@@ -462,7 +259,7 @@ let append t cpu fd ~src = pwrite t cpu fd ~off:(file_size t fd) ~src
 
 let pread t cpu fd ~off ~len =
   Cost.charge_syscall cpu;
-  let e = Fd_table.get t.fds fd in
+  let e = Fd_table.get t.ns.fds fd in
   if not e.flags.rd then Types.err EBADF "fd %d not readable" fd;
   let f = find_file t e.ino in
   let len = max 0 (min len (max f.size (pending_size t f.ino) - off)) in
@@ -507,7 +304,7 @@ let fsync t cpu _fd =
 
 let fallocate t cpu fd ~off ~len =
   Cost.charge_syscall cpu;
-  let f = find_file t (Fd_table.get t.fds fd).ino in
+  let f = fd_file t fd in
   Sched.with_lock f.lock (fun () ->
       let lo = Units.round_down off block and hi = Units.round_up (off + len) block in
       let cur = ref lo in
@@ -541,7 +338,7 @@ let ftruncate t cpu fd new_size =
   Cost.charge_syscall cpu;
   (* Pending log entries must become visible before the size change. *)
   digest_all t cpu;
-  let f = find_file t (Fd_table.get t.fds fd).ino in
+  let f = fd_file t fd in
   Sched.with_lock f.lock (fun () ->
       if new_size < f.size then begin
         let lo = Units.round_up new_size block in
@@ -556,7 +353,7 @@ let ftruncate t cpu fd new_size =
 
 (* mmap requires digestion first (data must be in the shared area). *)
 let mmap_backing t fd : Vmem.backing =
-  let ino = (Fd_table.get t.fds fd).ino in
+  let ino = (Fd_table.get t.ns.fds fd).ino in
   fun cpu ~file_off ~huge_ok ->
     digest_all t cpu;
     let f = find_file t ino in
@@ -591,20 +388,3 @@ let mmap_backing t fd : Vmem.backing =
       | Some (phys, _) -> Vmem.Base phys
       | None -> Vmem.Sigbus
     end
-
-let set_xattr_align _t cpu _path _v = Cost.charge_syscall cpu
-
-let statfs t =
-  let free = Alloc.free_bytes t.alloc in
-  {
-    Types.capacity = t.data_len;
-    used = t.data_len - free;
-    free;
-    free_extents = Alloc.free_extent_count t.alloc;
-    largest_free = Alloc.largest_free t.alloc;
-    aligned_free_2m = Alloc.aligned_region_count t.alloc;
-  }
-
-let file_extents t cpu path =
-  let f = find_file t (resolve t cpu path) in
-  Block_map.extents f.bmap

@@ -80,12 +80,48 @@ let classify env e =
 
 let label (file : Source.file) mu = file.stem ^ ":" ^ Resolve.label_of_expr mu
 
-(* Keys a call site might refer to; missing keys resolve to nothing. *)
-let callee_keys ~stem ~prefix comps =
+(* Functors.  A functor's body is keyed under [stem.functor.], and its
+   parameter's values under [module.functor(arg).]: a call [F.persist]
+   inside the body resolves to the [persist] of every structure the repo
+   applies the functor to, merged into one may-acquire summary. *)
+let functor_key comps =
+  match List.rev comps with
+  | f :: m :: _ -> low m ^ "." ^ low f
+  | [ f ] -> low f
+  | [] -> ""
+
+let arg_prefix fkey = fkey ^ "(arg)."
+
+let rec unconstrained me =
+  match me.pmod_desc with Pmod_constraint (me, _) -> unconstrained me | _ -> me
+
+(* [Some (param, body)] for a one-parameter functor over a structure. *)
+let functor_body me =
+  match (unconstrained me).pmod_desc with
+  | Pmod_functor (Named ({ txt = Some param; _ }, _), body) -> (
+      match (unconstrained body).pmod_desc with
+      | Pmod_structure sub -> Some (param, sub)
+      | _ -> None)
+  | _ -> None
+
+(* [Some (functor key, argument structure)] for [include F (struct .. end)]. *)
+let applied_structure env me =
+  match (unconstrained me).pmod_desc with
+  | Pmod_apply ({ pmod_desc = Pmod_ident { txt; _ }; _ }, arg) -> (
+      match (unconstrained arg).pmod_desc with
+      | Pmod_structure sub -> Some (functor_key (Resolve.resolve env txt), sub)
+      | _ -> None)
+  | _ -> None
+
+(* Keys a call site might refer to; missing keys resolve to nothing.
+   [params] maps the enclosing functors' parameters to their argument
+   prefixes. *)
+let callee_keys ~stem ~prefix ~params comps =
   match List.rev comps with
   | [ f ] ->
       let local = prefix ^ f and top = stem ^ "." ^ f in
       if local = top then [ top ] else [ local; top ]
+  | [ f; m ] when List.mem_assoc m params -> [ List.assoc m params ^ f ]
   | f :: m :: _ -> [ low m ^ "." ^ f ]
   | [] -> []
 
@@ -93,20 +129,22 @@ let callee_keys ~stem ~prefix comps =
 
 type summary = { mutable locks : string list; mutable callees : string list }
 
-let scan_expr env file ~prefix (s : summary) expr0 =
+let scan_expr env file ~prefix ~params (s : summary) expr0 =
   let open Ast_iterator in
   let expr it e =
     (match classify env e with
     | With_lock (mu, _) | Lock mu -> s.locks <- label file mu :: s.locks
     | Call (comps, _) ->
-        s.callees <- callee_keys ~stem:file.Source.stem ~prefix comps @ s.callees
+        s.callees <- callee_keys ~stem:file.Source.stem ~prefix ~params comps @ s.callees
     | Other -> ());
     default_iterator.expr it e
   in
   let it = { default_iterator with expr } in
   it.expr it expr0
 
-let rec collect_structure env (file : Source.file) summaries prefix stru =
+(* A key bound twice (the same functor applied to several structures)
+   gets the union of its summaries. *)
+let rec collect_structure env (file : Source.file) summaries ~params prefix stru =
   List.iter
     (fun item ->
       match item.pstr_desc with
@@ -122,16 +160,29 @@ let rec collect_structure env (file : Source.file) summaries prefix stru =
               in
               match name with
               | Some n ->
-                  let s = { locks = []; callees = [] } in
-                  scan_expr env file ~prefix s vb.pvb_expr;
+                  let s =
+                    match Hashtbl.find_opt summaries (prefix ^ n) with
+                    | Some s -> s
+                    | None -> { locks = []; callees = [] }
+                  in
+                  scan_expr env file ~prefix ~params s vb.pvb_expr;
                   Hashtbl.replace summaries (prefix ^ n) s
               | None -> ())
             vbs
       | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } -> (
-          match pmb_expr.pmod_desc with
-          | Pmod_structure sub ->
-              collect_structure env file summaries (low name ^ ".") sub
-          | _ -> ())
+          match (pmb_expr.pmod_desc, functor_body pmb_expr) with
+          | Pmod_structure sub, _ ->
+              collect_structure env file summaries ~params (low name ^ ".") sub
+          | _, Some (param, sub) ->
+              let fkey = file.stem ^ "." ^ low name in
+              collect_structure env file summaries
+                ~params:((param, arg_prefix fkey) :: params)
+                (fkey ^ ".") sub
+          | _, None -> ())
+      | Pstr_include { pincl_mod; _ } -> (
+          match applied_structure env pincl_mod with
+          | Some (fkey, sub) -> collect_structure env file summaries ~params (arg_prefix fkey) sub
+          | None -> ())
       | _ -> ())
     stru
 
@@ -172,7 +223,7 @@ let fixpoint summaries =
 let pass_b g reach diags (file : Source.file) =
   let env = Resolve.env_of_file file in
   let held = ref [] in
-  let prefix = ref (file.stem ^ ".") in
+  let prefix = ref (file.stem ^ ".") and params = ref [] in
   let acquire loc l =
     if List.mem l !held then
       diags :=
@@ -202,7 +253,7 @@ let pass_b g reach diags (file : Source.file) =
            tracked, which only widens the graph (lockdep-conservative) *)
     | Call (comps, args) ->
         if !held <> [] then
-          callee_keys ~stem:file.stem ~prefix:!prefix comps
+          callee_keys ~stem:file.stem ~prefix:!prefix ~params:!params comps
           |> List.iter (fun k ->
                  match Hashtbl.find_opt reach k with
                  | Some r ->
@@ -218,13 +269,28 @@ let pass_b g reach diags (file : Source.file) =
   in
   let structure_item it item =
     held := [];
-    default_iterator.structure_item it item
+    let saved = !prefix in
+    (match item.pstr_desc with
+    | Pstr_include { pincl_mod; _ } -> (
+        match applied_structure env pincl_mod with
+        | Some (fkey, _) -> prefix := arg_prefix fkey
+        | None -> ())
+    | _ -> ());
+    default_iterator.structure_item it item;
+    prefix := saved
   in
   let module_binding it mb =
-    let saved = !prefix in
-    (match mb.pmb_name.txt with Some n -> prefix := low n ^ "." | None -> ());
+    let saved = !prefix and saved_params = !params in
+    (match (mb.pmb_name.txt, functor_body mb.pmb_expr) with
+    | Some n, Some (param, _) ->
+        let fkey = file.stem ^ "." ^ low n in
+        prefix := fkey ^ ".";
+        params := (param, arg_prefix fkey) :: !params
+    | Some n, None -> prefix := low n ^ "."
+    | None, _ -> ());
     default_iterator.module_binding it mb;
-    prefix := saved
+    prefix := saved;
+    params := saved_params
   in
   let it = { default_iterator with expr; structure_item; module_binding } in
   it.structure it file.impl
@@ -235,7 +301,7 @@ let build files =
   List.iter
     (fun (f : Source.file) ->
       let env = Resolve.env_of_file f in
-      collect_structure env f summaries (f.stem ^ ".") f.impl)
+      collect_structure env f summaries ~params:[] (f.stem ^ ".") f.impl)
     files;
   let reach = fixpoint summaries in
   let g = new_graph () in

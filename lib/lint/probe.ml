@@ -1,7 +1,7 @@
 module Sched = Repro_sched.Sched
 module Device = Repro_pmem.Device
 module Types = Repro_vfs.Types
-module Pmfs = Repro_baselines.Pmfs
+module Basefs = Repro_baselines.Basefs
 module Race = Repro_race.Race
 module Scenarios = Repro_race.Scenarios
 open Repro_util
@@ -15,24 +15,24 @@ type result = {
 
 let rule = "lock-order"
 
-(* A small two-thread workload on the PMFS personality: exercises the
+(* A small two-thread workload on the PMFS preset: exercises the
    basefs hierarchy (parent/file locks, the journal mutex behind
    meta_sync) that the race scenarios do not touch. *)
 let basefs_workload () =
   let dev = Device.create ~cost:Device.Cost.free ~size:(64 * Units.mib) () in
-  let fs = Pmfs.format dev Types.default_config in
+  let fs = Basefs.format Basefs.pmfs dev Types.default_config in
   ignore
     (Sched.run ~threads:2 (fun (cpu : Cpu.t) ->
          let dir = Printf.sprintf "/d%d" cpu.id in
-         Pmfs.mkdir fs cpu dir;
+         Basefs.mkdir fs cpu dir;
          let path = dir ^ "/f" in
-         let fd = Pmfs.create fs cpu path in
-         ignore (Pmfs.pwrite fs cpu fd ~off:0 ~src:"probe" : int);
-         Pmfs.fsync fs cpu fd;
-         Pmfs.close fs cpu fd;
-         Pmfs.rename fs cpu ~old_path:path ~new_path:(dir ^ "/g");
-         Pmfs.unlink fs cpu (dir ^ "/g");
-         Pmfs.rmdir fs cpu dir)
+         let fd = Basefs.create fs cpu path in
+         ignore (Basefs.pwrite fs cpu fd ~off:0 ~src:"probe" : int);
+         Basefs.fsync fs cpu fd;
+         Basefs.close fs cpu fd;
+         Basefs.rename fs cpu ~old_path:path ~new_path:(dir ^ "/g");
+         Basefs.unlink fs cpu (dir ^ "/g");
+         Basefs.rmdir fs cpu dir)
       : Sched.stats)
 
 let run files =

@@ -151,6 +151,30 @@ let test_lock_order_self_nest () =
   | [ d ] -> Alcotest.(check bool) "self-deadlock" true (contains_sub ~sub:"already held" d.Diag.msg)
   | ds -> Alcotest.failf "expected exactly one lock-order diag, got %d" (List.length ds)
 
+let test_lock_order_functor_parameter () =
+  (* A call through a functor's parameter, under a lock in the functor's
+     body, acquires whatever the structures it is applied to acquire. *)
+  let parse path src =
+    match Source.parse_string ~path src with
+    | Ok f -> f
+    | Error _ -> Alcotest.failf "%s does not parse" path
+  in
+  let body =
+    parse "lib/core/ns_fixture.ml"
+      "module Make (F : sig val persist : unit -> unit end) = struct\n\
+      \  let op m = Sched.with_lock m (fun () -> F.persist ())\n\
+       end\n"
+  in
+  let user =
+    parse "lib/core/fs_fixture.ml"
+      "include Ns_fixture.Make (struct\n\
+      \  let persist () = Sched.with_lock j (fun () -> ())\n\
+       end)\n"
+  in
+  let g, _ = Repro_lint.Lock_order.build [ body; user ] in
+  Alcotest.(check bool) "edge through the parameter" true
+    (Repro_lint.Lock_order.reaches g "ns_fixture:m" "fs_fixture:j")
+
 (* ------------------------------------------------------------------ *)
 (* persist-order (flowcheck dataflow) *)
 
@@ -446,6 +470,7 @@ let suite =
     Alcotest.test_case "lock-order: consistent order clean" `Quick
       test_lock_order_nested_one_way_is_clean;
     Alcotest.test_case "lock-order: self nest" `Quick test_lock_order_self_nest;
+    Alcotest.test_case "lock-order: functor parameter" `Quick test_lock_order_functor_parameter;
     Alcotest.test_case "persist-order: dirty at commit" `Quick test_persist_order_dirty_at_commit;
     Alcotest.test_case "persist-order: flush without fence" `Quick
       test_persist_order_flush_without_fence;
