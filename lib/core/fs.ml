@@ -590,4 +590,3 @@ let file_extents t cpu path =
     (Int_map.fold f.records ~init:[] ~f:(fun acc o (r : Inode.record) ->
          (o, r.phys, r.len) :: acc))
 
-let rewrite_queue_length t = List.length t.rewrite_queue

@@ -16,10 +16,6 @@ val run_rewriter : t -> Repro_util.Cpu.t -> int
     one journal transaction atomically deletes the old file and re-points
     the directory entry.  Returns the number of files rewritten. *)
 
-val rewrite_queue_length : t -> int
-(** Files queued for rewriting (queued by the fault path when it finds a
-    fragmented memory-mapped file). *)
-
 val read_only : t -> bool
 (** Did the mount-time scrub degrade this mount to read-only?  True when
     corruption was detected that could not be repaired from a redundant

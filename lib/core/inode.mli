@@ -1,7 +1,7 @@
 (** Inode layer: on-PM inode tables in the fixed per-CPU metadata regions
     (§3.3 "Layout: containing fragmentation", Figure 5).
 
-    Owns inode addressing ({!inode_addr}, {!slot_addr}), header / size /
+    Owns inode and extent-slot addressing ({!inode_addr}), header / size /
     extent-slot persistence (all journaled through {!Txn}), CRC-checked
     loading and the mount-time table scan (§3.6, the scrub refuses — never
     reuses — corrupt headers), per-CPU inode free lists, and the DRAM
@@ -48,9 +48,6 @@ val create : dev:Repro_pmem.Device.t -> layout:Layout.t -> txns:Txn.t -> t
 
 val inode_addr : t -> int -> int
 (** Physical offset of an inode record by global inode number. *)
-
-val slot_addr : t -> file -> int -> int
-(** Physical offset of an extent slot (inline, or in an overflow block). *)
 
 (* -- Persistence (all journaled via {!Txn.meta_write}) -- *)
 

@@ -29,17 +29,17 @@ val flow_rules : string list
 (** [["persist-order"; "determinism"]] — the subset [pmcheck flowcheck]
     runs. *)
 
-val default_allowlist : allow list
-(** One reviewed entry on HEAD: [bin/agectl.ml]'s operator-facing
-    wall-clock progress line is exempt from the determinism rule (with
-    its reason).  The persist-order allowlist is empty — every violation
-    the dataflow surfaced was fixed, not suppressed. *)
-
 val run : ?allowlist:allow list -> ?only:string list -> Source.file list -> parse:Diag.t list -> report
 (** Run rules over already-loaded files ([only] restricts to a rule-id
     subset; default all).  [parse] diagnostics are folded into the
     report (and force exit code 2).  Diagnostics are {!Diag.normalize}d:
-    sorted and deduplicated, so reports are byte-stable. *)
+    sorted and deduplicated, so reports are byte-stable.
+
+    The default [allowlist] has one reviewed entry: [bin/agectl.ml]'s
+    operator-facing wall-clock progress line is exempt from the
+    determinism rule (with its reason).  The persist-order allowlist is
+    empty — every violation the dataflow surfaced was fixed, not
+    suppressed. *)
 
 val analyze : ?allowlist:allow list -> ?only:string list -> string list -> report
 (** [analyze roots]: {!Source.load_roots} + {!run} — the srccheck entry

@@ -34,10 +34,6 @@ val reaches : graph -> string -> string -> bool
 (** Transitive reachability (a lock ordered before another, possibly
     through intermediates). *)
 
-val cycle_diags : graph -> Diag.t list
-(** One diagnostic per strongly-connected component with a cycle, naming
-    every label on the cycle and a witness acquisition site. *)
-
 val containment_diags : graph -> observed:(string * string) list -> Diag.t list
 (** Cross-check against runtime-observed acquired-before edges between
     {e named} mutexes: every observed edge must already be implied by the
@@ -46,4 +42,6 @@ val containment_diags : graph -> observed:(string * string) list -> Diag.t list
     (or mutex names drifted from the code), which is reported. *)
 
 val check : Source.file list -> Diag.t list
-(** The rule entry point: [build] + self-nesting + [cycle_diags]. *)
+(** The rule entry point: [build] + self-nesting + one diagnostic per
+    strongly-connected component with a cycle, naming every label on the
+    cycle and a witness acquisition site. *)

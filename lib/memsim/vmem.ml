@@ -100,8 +100,6 @@ let mmap t ~len ~backing ?(huge_ok = true) ?(zero_on_fault = false) () =
     base_pages = 0;
   }
 
-let region_len r = r.len
-
 (* TLB key spaces: 4K entries keyed by vpn, 2M entries by chunk index.  The
    shared L2 uses distinct tag bits so the two sizes do not alias. *)
 let l2_key_4k vpn = vpn lor (1 lsl 58)

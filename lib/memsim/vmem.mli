@@ -58,8 +58,6 @@ val mmap :
 val munmap : t -> region -> unit
 (** Drop all mappings of the region and flush the TLBs. *)
 
-val region_len : region -> int
-
 val read : t -> Cpu.t -> region -> off:int -> len:int -> unit
 (** Load [len] bytes; charges TLB/fault/cache/PM time.  Use {!read_into}
     to also obtain the data. *)

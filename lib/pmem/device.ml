@@ -146,7 +146,6 @@ type t = {
   mutable site : Site.t;
   mutable hooks : (hook_id * hook) list; (* installation order *)
   mutable next_hook_id : int;
-  mutable legacy_hook : hook_id option; (* the set_event_hook slot *)
   poisoned : unit Flat_table.t; (* cache-line index -> MCE on load *)
   torn : unit Flat_table.t; (* 8-aligned offsets that tear at crash *)
   mutable stat_gen : int;
@@ -180,7 +179,6 @@ let make ~cost ~numa_nodes ~node_stripe ~size ~pages ~owned ~poisoned =
     site = Site.unknown;
     hooks = [];
     next_hook_id = 0;
-    legacy_hook = None;
     poisoned;
     torn = Flat_table.create ~capacity:8 ~dummy:() ();
     stat_gen = -1;
@@ -504,8 +502,6 @@ let emit_load cpu t ~off ~len =
   | _ -> dispatch ~cpu t (Load { off; len }));
   stat_load t ~len
 
-let current_site t = t.site
-
 (* Hand-rolled unwind instead of Fun.protect: this brackets every
    persistence call, and the finally-closure allocation was visible in
    aging profiles. *)
@@ -528,14 +524,6 @@ let add_event_hook t hook =
   id
 
 let remove_event_hook t id = t.hooks <- List.filter (fun (i, _) -> i <> id) t.hooks
-
-let set_event_hook t hook =
-  (match t.legacy_hook with
-  | Some id ->
-      remove_event_hook t id;
-      t.legacy_hook <- None
-  | None -> ());
-  match hook with None -> () | Some h -> t.legacy_hook <- Some (add_event_hook t h)
 
 let annotate t p = dispatch t (Protocol p)
 
@@ -767,10 +755,6 @@ let inject t fault =
     Stats.counter_add ~labels:[ ("kind", fault_kind_name fault) ] "fault.injected" 1
 
 let poisoned_lines t = Flat_table.keys_sorted t.poisoned
-
-let clear_faults t =
-  Flat_table.clear t.poisoned;
-  Flat_table.clear t.torn
 
 (* O(pages) for the shared directory plus O(reverted lines): only the
    pages holding a reverted line or torn word are copied. *)

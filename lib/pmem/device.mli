@@ -213,17 +213,11 @@ val inject : t -> fault -> unit
 val poisoned_lines : t -> int list
 (** Currently-poisoned cache-line indices (sorted). *)
 
-val clear_faults : t -> unit
-(** Drop all poison and torn-word registrations (bit flips already
-    happened and are not undone). *)
-
 val reset_counters : t -> unit
 
 val with_site : t -> Site.t -> (unit -> 'a) -> 'a
 (** Run a thunk with the ambient access site set (restored on exit,
     including by exception).  Nested annotations shadow outer ones. *)
-
-val current_site : t -> Site.t
 
 type hook = Repro_util.Cpu.t option -> Site.t -> event -> unit
 (** An event observer.  Data-movement events ([Store]/[Load]/[Flush]/
@@ -243,11 +237,6 @@ val add_event_hook : t -> hook -> hook_id
 
 val remove_event_hook : t -> hook_id -> unit
 (** Uninstall one observer; unknown ids are ignored. *)
-
-val set_event_hook : t -> hook option -> unit
-(** Legacy single-slot interface: [Some h] replaces only the hook this
-    function previously installed (other {!add_event_hook} observers are
-    untouched); [None] removes it. *)
 
 val annotate : t -> protocol -> unit
 (** Forward a protocol annotation to the observers (no-op when none). *)

@@ -45,7 +45,6 @@ type race = {
   r_seed : int option;  (** schedule seed; [None] under [Earliest_clock] *)
 }
 
-val kind_name : kind -> string
 val race_to_string : race -> string
 
 (** {2 Detector lifecycle}

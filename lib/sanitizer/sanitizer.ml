@@ -74,7 +74,6 @@ type t = {
   mutable fresh : (int * int) list;
   mutable recovering : bool;
   mutable diags_rev : diag list;
-  mutable error_count : int;
   seen : (int * int, unit) Hashtbl.t; (* (rule code, line) dedup *)
   redundant : (Site.t, int ref * int) Hashtbl.t; (* R3: count, first line *)
 }
@@ -86,10 +85,7 @@ let emit t ~rule ~severity ~site ~line detail =
     Hashtbl.replace t.seen (rule_code rule, line) ();
     let d = { rule; severity; site; line; count = 1; detail } in
     t.diags_rev <- d :: t.diags_rev;
-    if severity = Error then begin
-      t.error_count <- t.error_count + 1;
-      if t.strict then raise (Violation d)
-    end
+    if severity = Error && t.strict then raise (Violation d)
   end
 
 let lines_of off len = (off / cl, (off + len - 1) / cl)
@@ -277,7 +273,6 @@ let attach ?(strict = false) ?(rules = all_rules) dev =
       fresh = [];
       recovering = false;
       diags_rev = [];
-      error_count = 0;
       seen = Hashtbl.create 64;
       redundant = Hashtbl.create 32;
     }
@@ -293,7 +288,6 @@ let detach t =
   | None -> ()
 
 let diags t = List.rev t.diags_rev
-let error_count t = t.error_count
 
 (* End-of-run checks: R2 for lines left flushed-but-unfenced (a forgotten
    sfence; plain dirty lines are allowed — un-synced data is legal), plus

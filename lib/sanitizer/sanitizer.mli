@@ -70,7 +70,6 @@ val finish : t -> diag list
     return all diagnostics in discovery order. *)
 
 val diags : t -> diag list
-val error_count : t -> int
 
 val with_device :
   ?strict:bool -> ?rules:rule list -> Repro_pmem.Device.t -> (t -> 'a) -> 'a * diag list

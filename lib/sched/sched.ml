@@ -41,7 +41,6 @@ let create_mutex ?name () =
   { mid; name; holder = None; waiters = Queue.create (); held_outside = false }
 
 let mutex_id m = m.mid
-let mutex_name m = match m.name with Some n -> n | None -> "m" ^ string_of_int m.mid
 
 (* ------------------------------------------------------------------ *)
 (* Lockdep-style acquired-before recorder.  Global (never cleared by

@@ -35,9 +35,6 @@ val mutex_id : mutex -> int
 (** Process-unique id, stable for the lifetime of the mutex.  Concurrency
     diagnostics use it to name locks ("m3") in lockset reports. *)
 
-val mutex_name : mutex -> string
-(** The declared class name, or ["m<id>"] when anonymous. *)
-
 val lock : mutex -> unit
 (** Acquire; blocks the calling simulated thread while held by another.
     FIFO handoff.  Charges a small uncontended-acquisition cost. *)
@@ -57,12 +54,6 @@ val self : unit -> Cpu.t
 
 val running : unit -> bool
 (** [true] while inside {!run} (i.e. the caller is a simulated thread). *)
-
-val default_cpu : Cpu.t
-(** The CPU used outside {!run}; its clock keeps advancing across calls. *)
-
-val uncontended_lock_ns : int
-(** Simulated cost charged to every {!lock} attempt. *)
 
 val handoff_ns : int
 (** Simulated cost of transferring a contended mutex to the next waiter

@@ -42,16 +42,12 @@ module Registry : sig
   (** Drop every instrument and span frame; makespan returns to 0. *)
 
   val makespan_ns : t -> int
-  (** Largest simulated-clock timestamp observed at a span end or via
-      {!observe_clock}. *)
+  (** Largest simulated-clock timestamp observed at a span end. *)
 
   val generation : t -> int
   (** Bumped by {!reset}: instrument handles resolved under an older
       generation point into dropped refs, so per-call-site caches (the
       PM device's per-site counter cells) revalidate against this. *)
-
-  val observe_clock : t -> Cpu.t -> unit
-  (** Fold a CPU clock into the makespan without recording a span. *)
 end
 
 val global : Registry.t

@@ -19,18 +19,16 @@ val digest : ?off:int -> ?len:int -> bytes -> int
 
 val digest_string : string -> int
 
-val digest_zeroed : bytes -> off:int -> len:int -> csum_off:int -> int
-(** CRC of [off, off+len) computed as if the 4-byte little-endian checksum
-    field at [csum_off] were zero — the standard self-embedding layout, so
-    every non-checksum bit of the structure is covered. *)
-
 val put : bytes -> csum_off:int -> int -> unit
 (** Store a CRC value as 4 little-endian bytes at [csum_off]. *)
 
 val get : bytes -> csum_off:int -> int
 
 val set_zeroed : bytes -> off:int -> len:int -> csum_off:int -> unit
-(** Compute {!digest_zeroed} and {!put} it in place. *)
+(** Compute the CRC of [off, off+len) as if the 4-byte little-endian
+    checksum field at [csum_off] were zero — the standard self-embedding
+    layout, so every non-checksum bit of the structure is covered — and
+    {!put} it in place. *)
 
 val verify_zeroed : bytes -> off:int -> len:int -> csum_off:int -> bool
-(** Does the stored field match {!digest_zeroed} of the current bytes? *)
+(** Does the stored field match that CRC of the current bytes? *)

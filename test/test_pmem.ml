@@ -279,23 +279,6 @@ let test_hook_cpu_tagging () =
   | [ (-1, Device.Protocol _); (3, Device.Store _) ] -> ()
   | _ -> Alcotest.fail "expected a cpu-tagged store then an untagged protocol event")
 
-let test_legacy_set_event_hook () =
-  (* The single-slot interface replaces only its own hook and leaves
-     add_event_hook observers alone. *)
-  let d = Device.create ~cost:Device.Cost.free ~size:4096 () in
-  let c = cpu () in
-  let multi = ref 0 and legacy1 = ref 0 and legacy2 = ref 0 in
-  ignore (Device.add_event_hook d (fun _ _ _ -> incr multi));
-  Device.set_event_hook d (Some (fun _ _ _ -> incr legacy1));
-  Device.write_u64 d c ~off:0 1L;
-  Device.set_event_hook d (Some (fun _ _ _ -> incr legacy2));
-  Device.write_u64 d c ~off:0 2L;
-  Device.set_event_hook d None;
-  Device.write_u64 d c ~off:0 3L;
-  Alcotest.(check int) "first legacy hook saw one store" 1 !legacy1;
-  Alcotest.(check int) "second legacy hook replaced the first" 1 !legacy2;
-  Alcotest.(check int) "multi hook saw all three" 3 !multi
-
 (* The paged backing against a flat [Bytes] model.  The device spans
    three full 64 KiB pages and a partial fourth, and offsets cluster
    around page boundaries so that pieces split across pages.  Snapshots
@@ -425,7 +408,6 @@ let suite =
     Alcotest.test_case "torn word x crash subsets" `Quick test_torn_word_crash_subsets;
     Alcotest.test_case "poison line and repair" `Quick test_poison_and_repair;
     Alcotest.test_case "hook cpu tagging" `Quick test_hook_cpu_tagging;
-    Alcotest.test_case "legacy set_event_hook" `Quick test_legacy_set_event_hook;
     Alcotest.test_case "bounds" `Quick test_bounds;
     Alcotest.test_case "cost accounting" `Quick test_cost_charged;
     Alcotest.test_case "crash: unflushed lost" `Quick test_crash_unflushed_lost;
