@@ -101,6 +101,12 @@ val find_file : t -> int -> file
 val resolve : t -> Cpu.t -> string -> int
 (** Path walk to an inode number; raises ENOENT/ENOTDIR. *)
 
+val check_write : t -> int -> off:int -> src:string -> src_off:int -> len:int -> file
+val check_read : t -> int -> off:int -> len:int -> file
+(** The argument checks of {!pwrite_sub} and {!pread}
+    ({!Dram_namespace.Make}'s), which SplitFS's user-space paths make
+    without charging a syscall. *)
+
 val meta_sync : t -> Cpu.t -> addr:int -> bytes:int -> unit
 (** Journal and persist a metadata update at [addr] immediately (undo
     flavour) or buffer it in the running transaction (redo flavour). *)

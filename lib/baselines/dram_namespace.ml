@@ -1,5 +1,5 @@
-(* The baselines' shared DRAM namespace; see the interface for the hook
-   contract.  Namespace mutations run under the parent directory's lock
+(* The baselines' shared DRAM namespace and block-map data path; see the
+   interface for the hook contract.  Namespace mutations run under the parent directory's lock
    (both parents for rename, taken in inode-number order), and the
    file system's persistence hook runs inside that critical section. *)
 
@@ -12,6 +12,7 @@ module Block_map = Repro_vfs.Block_map
 module Cost = Repro_vfs.Fs_intf.Cost
 module Alloc = Repro_alloc.Pool_alloc
 module Sched = Repro_sched.Sched
+module Device = Repro_pmem.Device
 
 let root_ino = 1
 
@@ -61,6 +62,63 @@ let free_data alloc f =
   List.iter (fun (_, phys, len) -> Alloc.free alloc ~off:phys ~len) (Block_map.extents f.bmap);
   Block_map.clear f.bmap
 
+(* ------------------------------------------------------------------ *)
+(* Block-map data path                                                 *)
+
+let read_mapped dev cpu f ~off ~len dst =
+  let stop = off + len in
+  let cur = ref off in
+  while !cur < stop do
+    match Block_map.lookup f.bmap ~file_off:!cur with
+    | Some (phys, run) ->
+        let n = min (stop - !cur) run in
+        Device.read dev cpu ~off:phys ~len:n ~dst ~dst_off:(!cur - off);
+        cur := !cur + n
+    | None -> (
+        match Block_map.next_mapped f.bmap ~file_off:(!cur + 1) with
+        | Some o -> cur := min stop o
+        | None -> cur := stop)
+  done
+
+let write_mapped dev cpu ~site f ~off ~src ~src_off ~len =
+  let src_b = Bytes.unsafe_of_string src in
+  let stop = off + len in
+  Device.with_site dev site (fun () ->
+      let cur = ref off in
+      while !cur < stop do
+        let phys, run = Option.get (Block_map.lookup f.bmap ~file_off:!cur) in
+        let n = min (stop - !cur) run in
+        Device.write_nt dev cpu ~off:phys ~src:src_b ~src_off:(src_off + (!cur - off)) ~len:n;
+        cur := !cur + n
+      done)
+
+let fill_holes f ~off ~len fill =
+  let hi = Units.round_up (off + len) Units.base_page in
+  let cur = ref (Units.round_down off Units.base_page) in
+  while !cur < hi do
+    match Block_map.lookup f.bmap ~file_off:!cur with
+    | Some (_, run) -> cur := !cur + run
+    | None ->
+        let hole_end =
+          match Block_map.next_mapped f.bmap ~file_off:(!cur + 1) with
+          | Some o -> min hi o
+          | None -> hi
+        in
+        fill !cur (hole_end - !cur);
+        cur := hole_end
+  done
+
+let truncate_data alloc f new_size =
+  let lo = Units.round_up new_size Units.base_page in
+  let freed =
+    if new_size < f.size && f.size > lo then
+      Block_map.remove_range f.bmap ~file_off:lo ~len:(f.size - lo)
+    else []
+  in
+  List.iter (fun (o, l) -> Alloc.free alloc ~off:o ~len:l) freed;
+  f.size <- new_size;
+  freed
+
 type 'ext update =
   | Link of { dir : 'ext inode; child : 'ext inode }
   | Unlink of { dir : 'ext inode; child : 'ext inode }
@@ -93,6 +151,23 @@ module Make (F : FS) = struct
     | None -> Types.err EBADF "stale inode %d" ino
 
   let fd_file t fd = find_file t (Fd_table.get (F.ns t).fds fd).ino
+
+  let check_write t fd ~off ~src ~src_off ~len =
+    let e = Fd_table.get (F.ns t).fds fd in
+    if not e.flags.wr then Types.err EBADF "fd %d not writable" fd;
+    let f = find_file t e.ino in
+    if f.kind = Types.Directory then Types.err EISDIR "fd %d" fd;
+    if src_off < 0 || len < 0 || src_off + len > String.length src then
+      Types.err EINVAL "pwrite_sub outside src bounds";
+    if len > 0 && off < 0 then Types.err EINVAL "negative offset";
+    f
+
+  let check_read t fd ~off ~len =
+    let e = Fd_table.get (F.ns t).fds fd in
+    if not e.flags.rd then Types.err EBADF "fd %d not readable" fd;
+    let f = find_file t e.ino in
+    if off < 0 || len < 0 then Types.err EINVAL "bad range";
+    f
 
   let resolve t cpu path =
     let rec walk ino = function

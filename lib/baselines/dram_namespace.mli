@@ -1,5 +1,6 @@
-(** The DRAM namespace shared by the Basefs (ext4-DAX, xfs-DAX, PMFS),
-    NOVA and Strata models.
+(** The DRAM namespace and block-map data path shared by the Basefs
+    (ext4-DAX, xfs-DAX, PMFS), NOVA and Strata models, and through Basefs
+    by SplitFS.
 
     The §5.1 baselines differ in how they allocate, how they make
     metadata durable (journal, per-inode log, per-process log) and how
@@ -43,6 +44,34 @@ val create : Repro_vfs.Dir_index.policy -> root:'ext -> 'ext t
 val free_data : Repro_alloc.Pool_alloc.t -> 'ext inode -> unit
 (** Return every mapped extent of the file to the allocator and clear
     its block map. *)
+
+(** {2 Block-map data path}
+
+    How a block map is walked is the same in every baseline; what
+    differs (allocation, zeroing, atomicity, persistence) arrives as the
+    fill callback or stays at the caller.  None of these takes a lock. *)
+
+val read_mapped :
+  Repro_pmem.Device.t -> Cpu.t -> 'ext inode -> off:int -> len:int -> Bytes.t -> unit
+(** Read the mapped parts of [\[off, off+len)] into the buffer at
+    [file_off - off], leaving the bytes of holes as they are. *)
+
+val write_mapped :
+  Repro_pmem.Device.t -> Cpu.t -> site:Repro_pmem.Site.t -> 'ext inode -> off:int ->
+  src:string -> src_off:int -> len:int -> unit
+(** Non-temporal in-place write of [src\[src_off, src_off+len)] over the
+    already mapped [\[off, off+len)], under [Device.with_site site] and
+    with no fence. *)
+
+val fill_holes : 'ext inode -> off:int -> len:int -> (int -> int -> unit) -> unit
+(** [fill_holes f ~off ~len fill] calls [fill hole_off hole_len] once per
+    hole of the block-aligned cover of [\[off, off+len)], in ascending
+    order; [fill] maps the hole. *)
+
+val truncate_data : Repro_alloc.Pool_alloc.t -> 'ext inode -> int -> (int * int) list
+(** [truncate_data alloc f size] frees the blocks wholly past [size] when
+    it shrinks the file, sets the size, and returns the freed
+    [(phys, len)] runs. *)
 
 (** The namespace update a persistence hook makes durable. *)
 type 'ext update =
@@ -92,6 +121,17 @@ module Make (F : FS) : sig
 
   val fd_file : F.fs -> Repro_vfs.Fs_intf.fd -> F.ext inode
   (** The inode an fd refers to. *)
+
+  val check_write :
+    F.fs -> Repro_vfs.Fs_intf.fd -> off:int -> src:string -> src_off:int -> len:int -> F.ext inode
+  (** The file a write targets.  Raises, in this order: EBADF (fd not
+      writable), EISDIR, EINVAL (source range outside [src]), and — only
+      when [len > 0], so an empty write stays a no-op — EINVAL for a
+      negative [off]. *)
+
+  val check_read : F.fs -> Repro_vfs.Fs_intf.fd -> off:int -> len:int -> F.ext inode
+  (** The file a read targets.  Raises EBADF (fd not readable), then
+      EINVAL for a negative [off] or [len]. *)
 
   val resolve : F.fs -> Cpu.t -> string -> int
   (** Path walk to an inode number; raises ENOENT/ENOTDIR. *)

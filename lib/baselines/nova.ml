@@ -245,31 +245,18 @@ let allocate t cpu ~len =
   | None -> Types.err ENOSPC "allocating %d bytes" len
 
 let ensure_backing t cpu (f : file) ~off ~len ~zero =
-  let lo = Units.round_down off block and hi = Units.round_up (off + len) block in
-  let cur = ref lo in
-  while !cur < hi do
-    match Block_map.lookup f.bmap ~file_off:!cur with
-    | Some (_, run) -> cur := !cur + run
-    | None ->
-        let hole_end =
-          match Block_map.next_mapped f.bmap ~file_off:(!cur + 1) with
-          | Some o -> min hi o
-          | None -> hi
-        in
-        let exts = allocate t cpu ~len:(hole_end - !cur) in
-        let fo = ref !cur in
-        List.iter
-          (fun (e : Alloc.extent) ->
-            Block_map.insert f.bmap ~file_off:!fo ~phys:e.off ~len:e.len;
-            if zero then
-              Device.with_site t.dev site_zero (fun () ->
-                  Device.memset_nt t.dev cpu ~off:e.off ~len:e.len '\000';
-                  Device.fence t.dev cpu);
-            fo := !fo + e.len)
-          exts;
-        log_append t cpu f;
-        cur := hole_end
-  done
+  Dram_namespace.fill_holes f ~off ~len (fun hole_off hole_len ->
+      let fo = ref hole_off in
+      List.iter
+        (fun (e : Alloc.extent) ->
+          Block_map.insert f.bmap ~file_off:!fo ~phys:e.off ~len:e.len;
+          if zero then
+            Device.with_site t.dev site_zero (fun () ->
+                Device.memset_nt t.dev cpu ~off:e.off ~len:e.len '\000';
+                Device.fence t.dev cpu);
+          fo := !fo + e.len)
+        (allocate t cpu ~len:hole_len);
+      log_append t cpu f)
 
 (* ------------------------------------------------------------------ *)
 (* Data path                                                           *)
@@ -332,30 +319,15 @@ let write_cow t cpu (f : file) ~off ~src ~src_off ~len =
 
 let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
   Cost.charge_syscall cpu;
-  let e = Fd_table.get t.ns.fds fd in
-  if not e.flags.wr then Types.err EBADF "fd %d not writable" fd;
-  let f = find_file t e.ino in
-  if f.kind = Types.Directory then Types.err EISDIR "fd %d" fd;
-  if src_off < 0 || len < 0 || src_off + len > String.length src then
-    Types.err EINVAL "pwrite_sub outside src bounds";
+  let f = check_write t fd ~off ~src ~src_off ~len in
   if len = 0 then 0
   else begin
-    if off < 0 then Types.err EINVAL "negative offset";
     Sched.with_lock f.lock (fun () ->
         if strict t then write_cow t cpu f ~off ~src ~src_off ~len
         else begin
           ensure_backing t cpu f ~off ~len ~zero:false;
-          let src_b = Bytes.unsafe_of_string src in
-          Device.with_site t.dev site_data (fun () ->
-              let cur = ref off in
-              while !cur < off + len do
-                let phys, run = Option.get (Block_map.lookup f.bmap ~file_off:!cur) in
-                let n = min (off + len - !cur) run in
-                Device.write_nt t.dev cpu ~off:phys ~src:src_b
-                  ~src_off:(src_off + (!cur - off)) ~len:n;
-                f.ext.dirty_bytes <- f.ext.dirty_bytes + n;
-                cur := !cur + n
-              done);
+          Dram_namespace.write_mapped t.dev cpu ~site:site_data f ~off ~src ~src_off ~len;
+          f.ext.dirty_bytes <- f.ext.dirty_bytes + len;
           log_append t cpu f
         end;
         if off + len > f.size then f.size <- off + len);
@@ -372,26 +344,12 @@ let append t cpu fd ~src =
 
 let pread t cpu fd ~off ~len =
   Cost.charge_syscall cpu;
-  let e = Fd_table.get t.ns.fds fd in
-  if not e.flags.rd then Types.err EBADF "fd %d not readable" fd;
-  let f = find_file t e.ino in
-  if off < 0 || len < 0 then Types.err EINVAL "bad range";
+  let f = check_read t fd ~off ~len in
   let len = max 0 (min len (f.size - off)) in
   if len = 0 then ""
   else begin
     let dst = Bytes.make len '\000' in
-    let cur = ref off in
-    while !cur < off + len do
-      match Block_map.lookup f.bmap ~file_off:!cur with
-      | Some (phys, run) ->
-          let n = min (off + len - !cur) run in
-          Device.read t.dev cpu ~off:phys ~len:n ~dst ~dst_off:(!cur - off);
-          cur := !cur + n
-      | None -> (
-          match Block_map.next_mapped f.bmap ~file_off:(!cur + 1) with
-          | Some o -> cur := min (off + len) o
-          | None -> cur := off + len)
-    done;
+    Dram_namespace.read_mapped t.dev cpu f ~off ~len dst;
     Counters.add t.counters "fs.read_bytes" len;
     Bytes.unsafe_to_string dst
   end
@@ -423,15 +381,9 @@ let ftruncate t cpu fd new_size =
   let f = fd_file t fd in
   if new_size < 0 then Types.err EINVAL "negative size";
   Sched.with_lock f.lock (fun () ->
-      if new_size < f.size then begin
-        let lo = Units.round_up new_size block in
-        if f.size > lo then begin
-          let freed = Block_map.remove_range f.bmap ~file_off:lo ~len:(f.size - lo) in
-          List.iter (fun (o, l) -> Alloc.free t.alloc ~off:o ~len:l) freed;
-          log_invalidate t cpu f (List.length freed)
-        end
-      end;
-      f.size <- new_size;
+      (match Dram_namespace.truncate_data t.alloc f new_size with
+      | [] -> ()
+      | freed -> log_invalidate t cpu f (List.length freed));
       log_append t cpu f);
   Counters.incr t.counters "fs.ftruncate"
 
@@ -442,22 +394,12 @@ let mmap_backing t fd : Vmem.backing =
   let ino = (Fd_table.get t.ns.fds fd).ino in
   fun cpu ~file_off ~huge_ok ->
     let f = find_file t ino in
-    let fault_alloc len =
-      Sched.with_lock f.lock (fun () ->
-          ensure_backing t cpu f ~off:file_off ~len ~zero:true)
-    in
-    if huge_ok then begin
-      match Block_map.huge_candidate f.bmap ~chunk_off:file_off with
-      | Some phys -> Vmem.Huge phys
-      | None -> (
-          if Block_map.lookup f.bmap ~file_off = None then fault_alloc block;
-          match Block_map.lookup f.bmap ~file_off with
-          | Some (phys, _) -> Vmem.Base phys
-          | None -> Vmem.Sigbus)
-    end
-    else begin
-      if Block_map.lookup f.bmap ~file_off = None then fault_alloc block;
-      match Block_map.lookup f.bmap ~file_off with
-      | Some (phys, _) -> Vmem.Base phys
-      | None -> Vmem.Sigbus
-    end
+    match if huge_ok then Block_map.huge_candidate f.bmap ~chunk_off:file_off else None with
+    | Some phys -> Vmem.Huge phys
+    | None -> (
+        if Block_map.lookup f.bmap ~file_off = None then
+          Sched.with_lock f.lock (fun () ->
+              ensure_backing t cpu f ~off:file_off ~len:block ~zero:true);
+        match Block_map.lookup f.bmap ~file_off with
+        | Some (phys, _) -> Vmem.Base phys
+        | None -> Vmem.Sigbus)

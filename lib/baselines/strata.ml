@@ -221,12 +221,7 @@ end)
 
 let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
   Cost.charge_syscall cpu;
-  let e = Fd_table.get t.ns.fds fd in
-  if not e.flags.wr then Types.err EBADF "fd %d not writable" fd;
-  let f = find_file t e.ino in
-  if f.kind = Types.Directory then Types.err EISDIR "fd %d" fd;
-  if src_off < 0 || len < 0 || src_off + len > String.length src then
-    Types.err EINVAL "pwrite_sub outside src bounds";
+  let f = check_write t fd ~off ~src ~src_off ~len in
   if len = 0 then 0
   else begin
     let lg = log_of t cpu in
@@ -259,26 +254,13 @@ let append t cpu fd ~src = pwrite t cpu fd ~off:(file_size t fd) ~src
 
 let pread t cpu fd ~off ~len =
   Cost.charge_syscall cpu;
-  let e = Fd_table.get t.ns.fds fd in
-  if not e.flags.rd then Types.err EBADF "fd %d not readable" fd;
-  let f = find_file t e.ino in
+  let f = check_read t fd ~off ~len in
   let len = max 0 (min len (max f.size (pending_size t f.ino) - off)) in
   if len = 0 then ""
   else begin
     let dst = Bytes.make len '\000' in
     (* Shared-area bytes first. *)
-    let cur = ref off in
-    while !cur < off + len do
-      match Block_map.lookup f.bmap ~file_off:!cur with
-      | Some (phys, run) ->
-          let n = min (off + len - !cur) run in
-          Device.read t.dev cpu ~off:phys ~len:n ~dst ~dst_off:(!cur - off);
-          cur := !cur + n
-      | None -> (
-          match Block_map.next_mapped f.bmap ~file_off:(!cur + 1) with
-          | Some o -> cur := min (off + len) o
-          | None -> cur := off + len)
-    done;
+    Dram_namespace.read_mapped t.dev cpu f ~off ~len dst;
     (* Overlay pending log entries (newest last so they win). *)
     Array.iter
       (fun lg ->
@@ -302,52 +284,39 @@ let fsync t cpu _fd =
   Device.with_site t.dev site_fsync (fun () -> Device.fence t.dev cpu);
   Counters.incr t.counters "fs.fsync"
 
+(* Back the holes of [off, off+len) with zeroed shared-area blocks. *)
+let zero_fill t cpu (f : file) ~site ~off ~len =
+  Dram_namespace.fill_holes f ~off ~len (fun hole_off hole_len ->
+      match Alloc.alloc t.alloc ~cpu:0 ~len:hole_len with
+      | Some exts ->
+          let fo = ref hole_off in
+          Device.with_site t.dev site (fun () ->
+              List.iter
+                (fun (e : Alloc.extent) ->
+                  Device.memset_nt t.dev cpu ~off:e.off ~len:e.len '\000';
+                  Block_map.insert f.bmap ~file_off:!fo ~phys:e.off ~len:e.len;
+                  fo := !fo + e.len)
+                exts;
+              Device.fence t.dev cpu)
+      | None -> Types.err ENOSPC "allocating %d bytes" hole_len)
+
 let fallocate t cpu fd ~off ~len =
   Cost.charge_syscall cpu;
   let f = fd_file t fd in
+  if off < 0 || len <= 0 then Types.err EINVAL "bad range";
   Sched.with_lock f.lock (fun () ->
-      let lo = Units.round_down off block and hi = Units.round_up (off + len) block in
-      let cur = ref lo in
-      while !cur < hi do
-        match Block_map.lookup f.bmap ~file_off:!cur with
-        | Some (_, run) -> cur := !cur + run
-        | None ->
-            let hole_end =
-              match Block_map.next_mapped f.bmap ~file_off:(!cur + 1) with
-              | Some o -> min hi o
-              | None -> hi
-            in
-            (match Alloc.alloc t.alloc ~cpu:0 ~len:(hole_end - !cur) with
-            | Some exts ->
-                let fo = ref !cur in
-                Device.with_site t.dev site_zero (fun () ->
-                    List.iter
-                      (fun (e : Alloc.extent) ->
-                        Device.memset_nt t.dev cpu ~off:e.off ~len:e.len '\000';
-                        Block_map.insert f.bmap ~file_off:!fo ~phys:e.off ~len:e.len;
-                        fo := !fo + e.len)
-                      exts;
-                    Device.fence t.dev cpu)
-            | None -> Types.err ENOSPC "fallocate");
-            cur := hole_end
-      done;
+      zero_fill t cpu f ~site:site_zero ~off ~len;
       if off + len > f.size then f.size <- off + len);
   Counters.incr t.counters "fs.fallocate"
 
 let ftruncate t cpu fd new_size =
   Cost.charge_syscall cpu;
+  let f = fd_file t fd in
+  if new_size < 0 then Types.err EINVAL "negative size";
   (* Pending log entries must become visible before the size change. *)
   digest_all t cpu;
-  let f = fd_file t fd in
   Sched.with_lock f.lock (fun () ->
-      if new_size < f.size then begin
-        let lo = Units.round_up new_size block in
-        if f.size > lo then begin
-          let freed = Block_map.remove_range f.bmap ~file_off:lo ~len:(f.size - lo) in
-          List.iter (fun (o, l) -> Alloc.free t.alloc ~off:o ~len:l) freed
-        end
-      end;
-      f.size <- new_size;
+      ignore (Dram_namespace.truncate_data t.alloc f new_size : (int * int) list);
       log_meta t cpu);
   Counters.incr t.counters "fs.ftruncate"
 
@@ -357,34 +326,14 @@ let mmap_backing t fd : Vmem.backing =
   fun cpu ~file_off ~huge_ok ->
     digest_all t cpu;
     let f = find_file t ino in
-    let fault_alloc () =
-      Sched.with_lock f.lock (fun () ->
-          if Block_map.lookup f.bmap ~file_off = None then
-            match Alloc.alloc t.alloc ~cpu:0 ~len:block with
-            | Some exts ->
-                let fo = ref file_off in
-                Device.with_site t.dev site_fault (fun () ->
-                    List.iter
-                      (fun (e : Alloc.extent) ->
-                        Device.memset_nt t.dev cpu ~off:e.off ~len:e.len '\000';
-                        Block_map.insert f.bmap ~file_off:!fo ~phys:e.off ~len:e.len;
-                        fo := !fo + e.len)
-                      exts;
-                    Device.fence t.dev cpu)
-            | None -> ())
-    in
-    if huge_ok then begin
-      match Block_map.huge_candidate f.bmap ~chunk_off:file_off with
-      | Some phys -> Vmem.Huge phys
-      | None -> (
-          fault_alloc ();
-          match Block_map.lookup f.bmap ~file_off with
-          | Some (phys, _) -> Vmem.Base phys
-          | None -> Vmem.Sigbus)
-    end
-    else begin
-      fault_alloc ();
-      match Block_map.lookup f.bmap ~file_off with
-      | Some (phys, _) -> Vmem.Base phys
-      | None -> Vmem.Sigbus
-    end
+    match if huge_ok then Block_map.huge_candidate f.bmap ~chunk_off:file_off else None with
+    | Some phys -> Vmem.Huge phys
+    | None -> (
+        (* Out of space: the fault maps nothing and raises SIGBUS. *)
+        (try
+           Sched.with_lock f.lock (fun () ->
+               zero_fill t cpu f ~site:site_fault ~off:file_off ~len:block)
+         with Types.Error (ENOSPC, _) -> ());
+        match Block_map.lookup f.bmap ~file_off with
+        | Some (phys, _) -> Vmem.Base phys
+        | None -> Vmem.Sigbus)

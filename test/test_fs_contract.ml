@@ -122,6 +122,32 @@ let mmap_contract (factory : Registry.factory) () =
       Alcotest.(check bool) "fully mapped" true (total >= 4 * mib);
       F.close fs c fd); }
 
+(* Bad arguments raise EINVAL on every file system, and a rejected call
+   leaves the bytes already written in place. *)
+let bad_arguments (factory : Registry.factory) () =
+  with_fs factory
+    { visit = (fun (type a) (module F : Fs_intf.S with type t = a) (fs : a) ->
+      let c = Cpu.make ~id:0 () in
+      let fd = F.create fs c "/bad" in
+      ignore (F.pwrite fs c fd ~off:0 ~src:(String.make 100 'a'));
+      let einval what call =
+        match call () with
+        | () -> Alcotest.failf "%s must raise EINVAL" what
+        | exception Types.Error (EINVAL, _) -> ()
+      in
+      einval "pwrite at -10" (fun () ->
+          ignore (F.pwrite fs c fd ~off:(-10) ~src:(String.make 20 'z')));
+      Alcotest.(check string) "earlier bytes survive a rejected write" (String.make 100 'a')
+        (F.pread fs c fd ~off:0 ~len:100);
+      einval "pread at -10" (fun () -> ignore (F.pread fs c fd ~off:(-10) ~len:10));
+      einval "fallocate at -4096" (fun () -> F.fallocate fs c fd ~off:(-4096) ~len:4096);
+      einval "fallocate of 0 bytes" (fun () -> F.fallocate fs c fd ~off:0 ~len:0);
+      einval "ftruncate to -1" (fun () -> F.ftruncate fs c fd (-1));
+      Alcotest.(check int) "size unchanged" 100 (F.file_size fs fd);
+      Alcotest.(check string) "content unchanged" (String.make 100 'a')
+        (F.pread fs c fd ~off:0 ~len:100);
+      F.close fs c fd); }
+
 let throughput_sanity (factory : Registry.factory) () =
   (* With the real cost model, doing more work must cost more time. *)
   let dev = Device.create ~size:(32 * mib) () in
@@ -144,6 +170,7 @@ let suite =
       [
         Alcotest.test_case (factory.fs_name ^ " contract") `Quick (contract factory);
         Alcotest.test_case (factory.fs_name ^ " mmap") `Quick (mmap_contract factory);
+        Alcotest.test_case (factory.fs_name ^ " bad arguments") `Quick (bad_arguments factory);
         Alcotest.test_case (factory.fs_name ^ " costs") `Quick (throughput_sanity factory);
       ])
     Registry.all
