@@ -78,6 +78,36 @@ let test_splitfs_staging_relink () =
   Alcotest.(check int) "committed size" 8 st.Types.st_size;
   Splitfs.close fs c fd
 
+let test_splitfs_rename_drops_staging () =
+  (* A file replaced by a rename takes its staged appends with it. *)
+  let fs, _ = mk Splitfs.format in
+  let c = cpu () in
+  let free0 = (Splitfs.statfs fs).Types.free in
+  let fd = Splitfs.create fs c "/keep" in
+  ignore (Splitfs.append fs c fd ~src:"kept");
+  Splitfs.fsync fs c fd;
+  Splitfs.close fs c fd;
+  let fd = Splitfs.create fs c "/victim" in
+  ignore (Splitfs.append fs c fd ~src:(String.make 65536 'v'));
+  Splitfs.close fs c fd;
+  Splitfs.rename fs c ~old_path:"/keep" ~new_path:"/victim";
+  Splitfs.unlink fs c "/victim";
+  Alcotest.(check int) "all space returned" free0 (Splitfs.statfs fs).Types.free
+
+let test_splitfs_trunc_drops_staging () =
+  (* O_TRUNC empties the file, staged appends included. *)
+  let fs, _ = mk Splitfs.format in
+  let c = cpu () in
+  let fd = Splitfs.create fs c "/t" in
+  ignore (Splitfs.pwrite fs c fd ~off:0 ~src:(String.make 100 'a'));
+  Splitfs.fsync fs c fd;
+  ignore (Splitfs.append fs c fd ~src:(String.make 100 'b'));
+  Splitfs.close fs c fd;
+  let fd = Splitfs.openf fs c "/t" { Types.o_rdwr with trunc = true } in
+  Alcotest.(check int) "size after O_TRUNC" 0 (Splitfs.file_size fs fd);
+  Alcotest.(check string) "nothing to read" "" (Splitfs.pread fs c fd ~off:0 ~len:200);
+  Splitfs.close fs c fd
+
 let test_strata_digestion () =
   let fs, _ = mk Strata.format in
   let c = cpu () in
@@ -252,6 +282,8 @@ let suite =
     Alcotest.test_case "NOVA append CoW amplification" `Quick test_nova_append_cow_amplification;
     Alcotest.test_case "NOVA overwrite relocates" `Quick test_nova_strict_overwrite_relocates;
     Alcotest.test_case "SplitFS staging + relink" `Quick test_splitfs_staging_relink;
+    Alcotest.test_case "SplitFS rename drops staging" `Quick test_splitfs_rename_drops_staging;
+    Alcotest.test_case "SplitFS O_TRUNC drops staging" `Quick test_splitfs_trunc_drops_staging;
     Alcotest.test_case "Strata digestion" `Quick test_strata_digestion;
     Alcotest.test_case "Strata cheap fsync" `Quick test_strata_cheap_fsync;
     Alcotest.test_case "ext4 zeroes at fault" `Quick test_ext4_unwritten_zeroing_on_fault;
