@@ -351,13 +351,15 @@ let () =
         false
     | None -> false
   in
-  let seen = Hashtbl.create 8 in
+  (* Experiments are deduplicated by runner, not by name: [table2] is
+     fig7's runner, so a full run (or [fig7 table2]) computes it once. *)
+  let seen = ref [] in
   Printf.printf "WineFS reproduction benchmark harness (scale %d)\n" !scale;
   Printf.printf "Simulated-time results; shapes, not absolute numbers, are the target.\n\n%!";
   List.iter
     (fun (name, descr, (run : runner)) ->
-      if not (Hashtbl.mem seen descr) then begin
-        Hashtbl.replace seen descr ();
+      if not (List.memq run !seen) then begin
+        seen := run :: !seen;
         Printf.printf "### %s — %s\n%!" name descr;
         Stats.reset ();
         Stats.set_enabled true;
